@@ -8,6 +8,9 @@
  *    uops/sec,
  *  - single-stream streaming simulation (kernel generator emitting
  *    straight into the replayer, no materialized trace),
+ *  - shared-stream replay: K configurations on one emitted stream
+ *    against K back-to-back single-stream runs (interleaved arms,
+ *    median and IQR of the speedup),
  *  - a thread-pooled Session::runBatch grid (uops/sec),
  *  - the same grid sharded over worker PROCESSES (ProcessPool) at
  *    several worker counts -- the pooled-sweep scaling row (workers
@@ -49,8 +52,9 @@
 #include <thread>
 #include <vector>
 
-#include "cpu/lane_replayer.hpp"
+#include "cpu/trace_cpu.hpp"
 #include "engine/config.hpp"
+#include "kernels/gemm_kernels.hpp"
 #include "sim/pool.hpp"
 #include "sim/session.hpp"
 #include "sim/telemetry.hpp"
@@ -267,69 +271,76 @@ main(int argc, char **argv)
     const double batch_geomean = geomean(batch_rates);
     const double stream_geomean = geomean(stream_rates);
 
-    // Lane-batched replay rows: K copies of each point's trace on a
-    // K-lane LaneReplayer, so the row family shows how interleaving K
-    // independent streams through one hot loop scales on THIS host
-    // (K=1 doubles as the strip-scheduler overhead check against the
-    // single-stream batch row).  Session::defaultLaneWidth() is read
-    // off this trajectory.
-    struct LanePoint
+    // Shared-stream rows: K configurations (the 2:4-capable Table
+    // III engines, with and without OF) replaying one kernel stream
+    // on a K-lane LaneReplayer, against the same K configurations as
+    // K back-to-back single-stream runs.  Both arms emit the stream
+    // from the kernel generator exactly as Session::runBatch would,
+    // so the ratio is the whole sharing saving (one emission and one
+    // cache probe instead of K).  The arms alternate every rep so
+    // host drift hits both; median and IQR over the reps.
+    struct SharedPoint
     {
         u32 lanes;
-        double uopsPerSec;
-        double speedupVsSingle;
+        double sharedUopsPerSec;
+        double singleUopsPerSec;
+        double speedupMedian;
+        double speedupIqr;
     };
-    std::vector<LanePoint> lane_points;
+    std::vector<SharedPoint> shared_points;
+    const int shared_reps = 10;
     {
-        // The smaller GEMM size keeps the K=8 row affordable while
-        // still covering all three sparsity patterns + dense.
-        const std::size_t lane_point_count =
-            std::min<std::size_t>(points.size(), 4);
-        std::vector<cpu::Trace> lane_traces;
-        std::vector<engine::EngineConfig> lane_engines;
-        for (std::size_t p = 0; p < lane_point_count; ++p) {
-            const auto request = requestFor(simulator, points[p]);
-            cpu::Trace trace;
-            simulator.run(request, &trace);
-            lane_traces.push_back(std::move(trace));
-            const auto engine_config =
-                engine::configByName(points[p].engine);
-            VEGETA_ASSERT(engine_config.has_value(),
-                          "unknown bench engine");
-            lane_engines.push_back(*engine_config);
-        }
-        const int lane_reps = smoke ? 1 : 2;
-        for (const u32 k : {1u, 2u, 4u, 8u}) {
-            std::vector<double> rates;
-            for (std::size_t p = 0; p < lane_traces.size(); ++p) {
-                const std::vector<cpu::LaneReplayer::LaneSpec> specs(
-                    k, {{}, lane_engines[p]});
-                cpu::LaneReplayer replayer(specs);
-                const std::vector<const cpu::Trace *> lanes(
-                    k, &lane_traces[p]);
-                double best = 0;
-                for (int r = 0; r < lane_reps; ++r) {
-                    const auto t0 = Clock::now();
-                    const auto lane_results = replayer.replay(lanes);
-                    const auto t1 = Clock::now();
-                    u64 uops = 0;
-                    for (const auto &res : lane_results) {
-                        uops += res.retiredOps;
-                        VEGETA_ASSERT(
-                            res.totalCycles ==
-                                lane_results[0].totalCycles,
-                            "identical lanes must finish in "
-                            "identical cycles");
-                    }
-                    best = std::max(best, uops / seconds(t0, t1));
-                }
-                rates.push_back(best);
+        const kernels::GemmDims dims{256, 256, 1024};
+        kernels::KernelOptions opts;
+        opts.traceOnly = true;
+        std::vector<cpu::LaneReplayer::LaneSpec> configs;
+        for (const auto &engine : engine::allEvaluatedConfigs()) {
+            if (!engine.sparse)
+                continue;
+            for (const bool of : {false, true}) {
+                cpu::CoreConfig core;
+                core.outputForwarding = of;
+                configs.push_back({core, engine});
             }
-            const double rate = geomean(rates);
-            lane_points.push_back({k, rate, rate / batch_geomean});
-            std::printf("lanes: K=%u  %7.2f Muops/s  (%.2fx single-"
-                        "stream batch)\n",
-                        k, rate / 1e6, rate / batch_geomean);
+        }
+        for (const u32 k : {1u, 2u, 4u, 8u}) {
+            const std::vector<cpu::LaneReplayer::LaneSpec> specs(
+                configs.begin(), configs.begin() + k);
+            std::vector<double> shared_rates, single_rates, speedups;
+            for (int r = 0; r < shared_reps; ++r) {
+                u64 uops = 0;
+                auto t0 = Clock::now();
+                {
+                    cpu::LaneReplayer replayer(specs);
+                    kernels::streamSpmmKernel(dims, 2, opts,
+                                              replayer.sink());
+                    for (const auto &res : replayer.finish())
+                        uops += res.retiredOps;
+                }
+                const double shared_s = seconds(t0, Clock::now());
+                t0 = Clock::now();
+                for (const auto &spec : specs) {
+                    cpu::TraceCpu single(spec.core, spec.engine);
+                    kernels::streamSpmmKernel(dims, 2, opts, single);
+                    single.finish();
+                }
+                const double single_s = seconds(t0, Clock::now());
+                shared_rates.push_back(uops / shared_s);
+                single_rates.push_back(uops / single_s);
+                speedups.push_back(single_s / shared_s);
+            }
+            const double q1 = bench::quantile(speedups, 0.25);
+            const double q3 = bench::quantile(speedups, 0.75);
+            shared_points.push_back(
+                {k, bench::quantile(shared_rates, 0.5),
+                 bench::quantile(single_rates, 0.5),
+                 bench::quantile(speedups, 0.5), q3 - q1});
+            const SharedPoint &row = shared_points.back();
+            std::printf("shared stream: K=%u  %7.2f Muops/s vs %7.2f "
+                        "single  (median %.2fx, IQR %.2f, %d reps)\n",
+                        k, row.sharedUopsPerSec / 1e6,
+                        row.singleUopsPerSec / 1e6, row.speedupMedian,
+                        row.speedupIqr, shared_reps);
         }
     }
 
@@ -560,13 +571,18 @@ main(int argc, char **argv)
     }
     entry << "], \"single_stream_uops_per_sec_geomean\": "
           << batch_geomean << ", \"stream_uops_per_sec_geomean\": "
-          << stream_geomean << ", \"lane_replay\": [";
-    for (std::size_t i = 0; i < lane_points.size(); ++i)
+          << stream_geomean << ", \"shared_stream\": [";
+    for (std::size_t i = 0; i < shared_points.size(); ++i)
         entry << (i ? ", " : "") << "{\"lanes\": "
-              << lane_points[i].lanes << ", \"uops_per_sec\": "
-              << lane_points[i].uopsPerSec
-              << ", \"speedup_vs_single\": "
-              << lane_points[i].speedupVsSingle << "}";
+              << shared_points[i].lanes
+              << ", \"uops_per_sec\": "
+              << shared_points[i].sharedUopsPerSec
+              << ", \"single_uops_per_sec\": "
+              << shared_points[i].singleUopsPerSec
+              << ", \"speedup_median\": "
+              << shared_points[i].speedupMedian
+              << ", \"speedup_iqr\": " << shared_points[i].speedupIqr
+              << ", \"reps\": " << shared_reps << "}";
     entry << "], \"sweep\": {\"requests\": "
           << grid.size() << ", \"threads\": " << sweep_threads
           << ", \"seconds\": " << sweep_secs

@@ -45,6 +45,19 @@ geomean(const std::vector<double> &values)
     return std::exp(log_sum / values.size());
 }
 
+/** Linear-interpolated quantile @p q (0..1) of a sample. */
+inline double
+quantile(std::vector<double> values, double q)
+{
+    if (values.empty())
+        return 0;
+    std::sort(values.begin(), values.end());
+    const double pos = q * (values.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, values.size() - 1);
+    return values[lo] + (pos - lo) * (values[hi] - values[lo]);
+}
+
 /**
  * Fixed-work integer loop (Mops/s): a machine-speed yardstick so a
  * committed baseline from one machine can gate CI runs on another.

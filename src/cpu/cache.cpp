@@ -35,6 +35,7 @@ CacheModel::CacheModel(CacheConfig config) : config_(config)
     set_mask_ = config_.l1Sets - 1;
     tags_.assign(std::size_t{config_.l1Sets} * config_.l1Ways,
                  kInvalidTag);
+    heads_.assign(config_.l1Sets, 0);
 }
 
 CacheModel::RangeAccess
@@ -56,48 +57,9 @@ void
 CacheModel::reset()
 {
     std::fill(tags_.begin(), tags_.end(), kInvalidTag);
+    std::fill(heads_.begin(), heads_.end(), u32{0});
     hits_ = 0;
     misses_ = 0;
-}
-
-LaneCacheModel::LaneCacheModel(const std::vector<CacheConfig> &configs)
-    : configs_(configs)
-{
-    VEGETA_ASSERT(!configs_.empty(),
-                  "lane cache needs at least 1 lane");
-    const std::size_t lanes = configs_.size();
-    line_shift_.reserve(lanes);
-    ways_.reserve(lanes);
-    set_mask_.reserve(lanes);
-    l1_latency_.reserve(lanes);
-    l2_latency_.reserve(lanes);
-    bank_base_.reserve(lanes);
-    bank_size_.reserve(lanes);
-    head_base_.reserve(lanes);
-    std::size_t total = 0;
-    std::size_t total_sets = 0;
-    for (const CacheConfig &config : configs_) {
-        VEGETA_ASSERT(config.l1Ways > 0,
-                      "degenerate cache configuration");
-        VEGETA_ASSERT(isPowerOfTwo(config.lineBytes) &&
-                          isPowerOfTwo(config.l1Sets),
-                      "lineBytes and l1Sets must be powers of two");
-        line_shift_.push_back(log2u(config.lineBytes));
-        ways_.push_back(config.l1Ways);
-        set_mask_.push_back(config.l1Sets - 1);
-        l1_latency_.push_back(config.l1Latency);
-        l2_latency_.push_back(config.l2Latency);
-        bank_base_.push_back(total);
-        bank_size_.push_back(std::size_t{config.l1Sets} *
-                             config.l1Ways);
-        total += bank_size_.back();
-        head_base_.push_back(total_sets);
-        total_sets += config.l1Sets;
-    }
-    tags_.assign(total, kInvalidTag);
-    heads_.assign(total_sets, 0);
-    hits_.assign(lanes, 0);
-    misses_.assign(lanes, 0);
 }
 
 namespace {
@@ -105,7 +67,7 @@ namespace {
 /**
  * probeSpan's hot loop for a compile-time way count: the scan fully
  * unrolls and the geometry lives in registers across the whole span.
- * Mirrors LaneCacheModel::accessLine's circular-head recency update
+ * Mirrors CacheModel::accessLine's circular-head recency update
  * exactly.  Returns the number of hits.
  */
 template <u32 Ways>
@@ -151,61 +113,38 @@ probeSpanWays(u64 *bank, u32 *heads, u64 set_mask, u32 line_shift,
 } // namespace
 
 void
-LaneCacheModel::probeSpan(u32 lane, Addr addr, u64 stride, u64 count,
-                          Cycles *out)
+CacheModel::probeSpan(Addr addr, u64 stride, u64 count, Cycles *out)
 {
-    u64 *bank = tags_.data() + bank_base_[lane];
-    u32 *heads = heads_.data() + head_base_[lane];
-    const u64 set_mask = set_mask_[lane];
-    const u32 line_shift = line_shift_[lane];
-    const Cycles l1 = l1_latency_[lane];
-    const Cycles l2 = l2_latency_[lane];
+    u64 *bank = tags_.data();
+    u32 *heads = heads_.data();
+    const Cycles l1 = config_.l1Latency;
+    const Cycles l2 = config_.l2Latency;
     u64 hits = 0;
-    switch (ways_[lane]) {
+    switch (config_.l1Ways) {
       case 4:
-        hits = probeSpanWays<4>(bank, heads, set_mask, line_shift, l1,
+        hits = probeSpanWays<4>(bank, heads, set_mask_, line_shift_, l1,
                                 l2, addr, stride, count, out);
         break;
       case 8:
-        hits = probeSpanWays<8>(bank, heads, set_mask, line_shift, l1,
+        hits = probeSpanWays<8>(bank, heads, set_mask_, line_shift_, l1,
                                 l2, addr, stride, count, out);
         break;
       case 12:
-        hits = probeSpanWays<12>(bank, heads, set_mask, line_shift, l1,
-                                 l2, addr, stride, count, out);
+        hits = probeSpanWays<12>(bank, heads, set_mask_, line_shift_,
+                                 l1, l2, addr, stride, count, out);
         break;
       case 16:
-        hits = probeSpanWays<16>(bank, heads, set_mask, line_shift, l1,
-                                 l2, addr, stride, count, out);
+        hits = probeSpanWays<16>(bank, heads, set_mask_, line_shift_,
+                                 l1, l2, addr, stride, count, out);
         break;
       default:
-        // Uncommon associativity: the per-call path, minus counters.
+        // Uncommon associativity: the per-call path, which counts.
         for (u64 i = 0; i < count; ++i)
-            out[i] = accessLine(lane, addr + i * stride);
+            out[i] = accessLine(addr + i * stride);
         return;
     }
-    hits_[lane] += hits;
-    misses_[lane] += count - hits;
-}
-
-void
-LaneCacheModel::resetLane(u32 lane)
-{
-    std::fill_n(tags_.begin() +
-                    static_cast<std::ptrdiff_t>(bank_base_[lane]),
-                bank_size_[lane], kInvalidTag);
-    std::fill_n(heads_.begin() +
-                    static_cast<std::ptrdiff_t>(head_base_[lane]),
-                configs_[lane].l1Sets, u32{0});
-    hits_[lane] = 0;
-    misses_[lane] = 0;
-}
-
-void
-LaneCacheModel::reset()
-{
-    for (u32 lane = 0; lane < configs_.size(); ++lane)
-        resetLane(lane);
+    hits_ += hits;
+    misses_ += count - hits;
 }
 
 } // namespace vegeta::cpu

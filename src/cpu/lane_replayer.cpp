@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hpp"
-#include "sim/telemetry.hpp"
 
 namespace vegeta::cpu {
 
@@ -18,734 +17,440 @@ ringSize(u64 min_entries)
     return size;
 }
 
-std::vector<CacheConfig>
-cacheConfigs(const std::vector<LaneReplayer::LaneSpec> &lanes)
+/** Earliest-free unit of a pool; the issue occupies it 1 cycle. */
+Cycles
+acquireUnit(Cycles *pool, u32 units, Cycles earliest)
 {
-    std::vector<CacheConfig> configs;
-    configs.reserve(lanes.size());
-    for (const auto &lane : lanes)
-        configs.push_back(lane.core.cache);
-    return configs;
+    u32 best = 0;
+    for (u32 u = 1; u < units; ++u)
+        if (pool[u] < pool[best])
+            best = u;
+    const Cycles start = std::max(earliest, pool[best]);
+    pool[best] = start + 1;
+    return start;
+}
+
+/** Bytes a TileLoad moves (TileLoadM carries its descriptor). */
+u64
+tileLoadBytes(const isa::Instruction &tile)
+{
+    return tile.op == isa::Opcode::TileLoadM
+               ? isa::kMregBytes + isa::kMregDescBytes
+               : isa::regClassBytes(tile.dst.cls);
 }
 
 } // namespace
 
+LaneReplayer::Lane::Lane(const CoreConfig &core_config,
+                         const engine::EngineConfig &engine_config)
+    : core(core_config),
+      engine(engine_config, core_config.outputForwarding),
+      fetchWidth(core.fetchWidth), retireWidth(core.retireWidth),
+      robEntries(core.robEntries), lbEntries(core.loadBufferEntries),
+      numAlus(core.numAlus), numLsus(core.numLsuPorts),
+      numVecs(core.numVectorFus),
+      engineClockDivider(core.engineClockDivider),
+      frontEndDepth(core.frontEndDepth),
+      vectorFmaLatency(core.vectorFmaLatency)
+{
+    VEGETA_ASSERT(fetchWidth > 0 && retireWidth > 0 && robEntries > 0,
+                  "degenerate core configuration");
+    VEGETA_ASSERT(lbEntries > 0, "degenerate load buffer");
+    VEGETA_ASSERT(numAlus > 0 && numAlus <= kMaxUnits &&
+                      numLsus > 0 && numLsus <= kMaxUnits &&
+                      numVecs > 0 && numVecs <= kMaxUnits,
+                  "resource pools support 1..16 units");
+    // A ring larger than the window is behaviourally identical: slots
+    // are rewritten before the op-index guards let them be read.
+    const u64 ring = ringSize(
+        std::max<u64>({fetchWidth, retireWidth, robEntries}) + 1);
+    ringMask = ring - 1;
+    dispatchRing.assign(ring, 0);
+    retireRing.assign(ring, 0);
+    loadBuffer.assign(lbEntries, 0);
+}
+
+void
+LaneReplayer::Lane::reset()
+{
+    engine.reset();
+    // The rings and load buffer need no clearing: every slot is
+    // written before the op-index guards allow it to be read again.
+    lbFills = 0;
+    lbCursor = 0;
+    aluFree.fill(0);
+    lsuFree.fill(0);
+    vecFree.fill(0);
+    renameReady.fill(0);
+    renameEngine.fill(0);
+    vectorChains.clear();
+    storeReady.clear();
+    lastRetire = 0;
+    engineLastFinish = 0;
+}
+
 LaneReplayer::LaneReplayer(const std::vector<LaneSpec> &lanes)
-    : num_lanes_(static_cast<u32>(lanes.size())),
-      cache_(cacheConfigs(lanes))
+    : cache_(lanes.empty() ? CacheConfig{} : lanes.front().core.cache)
 {
     VEGETA_ASSERT(!lanes.empty(),
                   "lane replayer needs at least 1 lane");
-
-    cores_.reserve(num_lanes_);
-    engine_configs_.reserve(num_lanes_);
-    engines_.reserve(num_lanes_);
-    sinks_.reserve(num_lanes_);
-
-    u64 max_window = 0;
-    u32 max_lb = 0;
-    for (const LaneSpec &lane : lanes) {
-        const CoreConfig &core = lane.core;
-        VEGETA_ASSERT(core.fetchWidth > 0 && core.retireWidth > 0 &&
-                          core.robEntries > 0,
-                      "degenerate core configuration");
-        VEGETA_ASSERT(core.loadBufferEntries > 0,
-                      "degenerate load buffer");
-        VEGETA_ASSERT(core.numAlus > 0 && core.numAlus <= kMaxUnits &&
-                          core.numLsuPorts > 0 &&
-                          core.numLsuPorts <= kMaxUnits &&
-                          core.numVectorFus > 0 &&
-                          core.numVectorFus <= kMaxUnits,
-                      "resource pools support 1..16 units");
-        max_window = std::max<u64>(
-            max_window, std::max<u64>({core.fetchWidth,
-                                       core.retireWidth,
-                                       core.robEntries}));
-        max_lb = std::max(max_lb, core.loadBufferEntries);
-
-        cores_.push_back(core);
-        engine_configs_.push_back(lane.engine);
-        engines_.emplace_back(lane.engine, core.outputForwarding);
-
-        alu_units_.push_back(core.numAlus);
-        lsu_units_.push_back(core.numLsuPorts);
-        vec_units_.push_back(core.numVectorFus);
-        fetch_width_.push_back(core.fetchWidth);
-        retire_width_.push_back(core.retireWidth);
-        rob_entries_.push_back(core.robEntries);
-        front_end_depth_.push_back(core.frontEndDepth);
-        vector_fma_latency_.push_back(core.vectorFmaLatency);
-        engine_clock_divider_.push_back(core.engineClockDivider);
-        lb_entries_.push_back(core.loadBufferEntries);
+    lanes_.reserve(lanes.size());
+    for (const LaneSpec &spec : lanes) {
+        VEGETA_ASSERT(spec.core.cache == cache_.config(),
+                      "lanes replaying one stream must share one "
+                      "CacheConfig");
+        lanes_.emplace_back(spec.core, spec.engine);
     }
-
-    // One stride for every lane: a ring larger than a lane's own
-    // window is behaviourally identical (slots are rewritten before
-    // the op-index guards let them be read again).
-    ring_stride_ = ringSize(max_window + 1);
-    ring_mask_ = ring_stride_ - 1;
-    dispatch_ring_.assign(std::size_t{ring_stride_} * num_lanes_, 0);
-    retire_ring_.assign(std::size_t{ring_stride_} * num_lanes_, 0);
-
-    lb_stride_ = max_lb;
-    load_buffer_.assign(std::size_t{lb_stride_} * num_lanes_, 0);
-    lb_fills_.assign(num_lanes_, 0);
-    lb_cursor_.assign(num_lanes_, 0);
-
-    alu_free_.assign(std::size_t{kMaxUnits} * num_lanes_, 0);
-    lsu_free_.assign(std::size_t{kMaxUnits} * num_lanes_, 0);
-    vec_free_.assign(std::size_t{kMaxUnits} * num_lanes_, 0);
-
-    rename_ready_.assign(std::size_t{isa::kNumDepRegs} * num_lanes_,
-                         0);
-    rename_engine_.assign(std::size_t{isa::kNumDepRegs} * num_lanes_,
-                          0);
-
-    vector_chains_.resize(num_lanes_);
-    store_line_ready_.resize(num_lanes_);
-    stored_line_min_.assign(num_lanes_, ~u64{0});
-    stored_line_max_.assign(num_lanes_, 0);
-
-    ops_.assign(num_lanes_, 0);
-    last_retire_.assign(num_lanes_, 0);
-    kind_counts_.assign(std::size_t{8} * num_lanes_, 0);
-    engine_instructions_.assign(num_lanes_, 0);
-    engine_last_finish_.assign(num_lanes_, 0);
-    effectual_macs_.assign(num_lanes_, 0);
-
-    for (u32 lane = 0; lane < num_lanes_; ++lane)
-        sinks_.emplace_back(this, lane);
 }
 
 Cycles
-LaneReplayer::toEngineCycles(u32 lane, Cycles core) const
+LaneReplayer::dispatch(Lane &lane, u64 i)
 {
-    // Round up: an engine instruction can begin at the next engine
-    // clock edge at or after the core-cycle issue.
-    const u32 div = engine_clock_divider_[lane];
-    return (core + div - 1) / div;
+    // Fetch width, program order, ROB space.
+    Cycles *ring = lane.dispatchRing.data();
+    const Cycles *retired = lane.retireRing.data();
+    const u64 mask = lane.ringMask;
+    Cycles d = lane.frontEndDepth;
+    if (i > 0)
+        d = std::max(d, ring[(i - 1) & mask]);
+    if (i >= lane.fetchWidth)
+        d = std::max(d, ring[(i - lane.fetchWidth) & mask] + 1);
+    if (i >= lane.robEntries)
+        d = std::max(d, retired[(i - lane.robEntries) & mask]);
+    ring[i & mask] = d;
+    return d;
 }
 
-Cycles
-LaneReplayer::toCoreCycles(u32 lane, Cycles eng) const
+void
+LaneReplayer::retire(Lane &lane, u64 i, Cycles complete)
 {
-    return eng * engine_clock_divider_[lane];
+    // In-order retirement, retireWidth per cycle.
+    Cycles *ring = lane.retireRing.data();
+    const u64 mask = lane.ringMask;
+    Cycles r = complete;
+    if (i > 0)
+        r = std::max(r, ring[(i - 1) & mask]);
+    if (i >= lane.retireWidth)
+        r = std::max(r, ring[(i - lane.retireWidth) & mask] + 1);
+    ring[i & mask] = r;
+    lane.lastRetire = r;
 }
 
-Cycles
-LaneReplayer::acquireUnit(std::vector<Cycles> &pool, u32 lane,
-                          u32 units, Cycles earliest)
-{
-    Cycles *strip = pool.data() + std::size_t{lane} * kMaxUnits;
-    u32 best = 0;
-    for (u32 u = 1; u < units; ++u)
-        if (strip[u] < strip[best])
-            best = u;
-    const Cycles start = std::max(earliest, strip[best]);
-    strip[best] = start + 1;
-    return start;
-}
-
-bool
-LaneReplayer::probeRange(u32 lane, u64 first, u64 count, Cycles *out)
-{
-    // Cache probes take no input from the port/load-buffer chain, so
-    // issuing all of a range's probes here, in range order, evolves
-    // the cache state exactly as the serial issue loop would -- but
-    // as one specialized span (probeSpan) instead of a chain of tag
-    // scans threaded through the issue serialization.  Most of the
-    // replay's time is these probes.  Only the scratch size bounds
-    // the batch; oversized ranges (no real kernel emits one) fall
-    // back to probing inside the serial loop.
-    if (count > kProbeBatch)
-        return false;
-    cache_.probeSpan(lane, first * u64{kLineBytes}, kLineBytes, count,
-                     out);
-    return true;
-}
-
-Cycles
-LaneReplayer::issueLineRange(u32 lane, Cycles earliest, Addr addr,
-                             u64 bytes)
+void
+LaneReplayer::issueLineRange(Addr addr, u64 bytes)
 {
     // Span from the first to the last touched line: a 64 B load at
     // line offset 32 touches two lines, which a ceil(bytes / 64)
     // would undercount for unaligned addresses.
     const u64 first = addr / kLineBytes;
     const u64 last = (addr + std::max<u64>(bytes, 1) - 1) / kLineBytes;
-    const bool may_alias_store = first <= stored_line_max_[lane] &&
-                                 last >= stored_line_min_[lane];
+    for (Lane &lane : lanes_)
+        lane.complete = lane.ready;
+    // Strip by strip, so the shared scratch stays bounded for any
+    // range a trace names; each lane's loop carries its state across
+    // strips exactly as one unbroken loop would.
+    for (u64 strip = first;; strip += kStripLines) {
+        const u64 end = std::min(last, strip + (kStripLines - 1));
+        const u64 count = prepareStrip(strip, end);
+        for (Lane &lane : lanes_)
+            lane.complete = std::max(lane.complete,
+                                     issueStrip(lane, count));
+        if (end == last)
+            return;
+    }
+}
 
-    // Phase 1: cache probes, independent of the issue serialization.
-    Cycles probe[kProbeBatch];
-    const bool batched = probeRange(lane, first, last - first + 1,
-                                    probe);
+u64
+LaneReplayer::prepareStrip(u64 first, u64 last)
+{
+    const u64 count = last - first + 1;
+    if (probe_.size() < count) {
+        probe_.resize(count);
+        alias_.resize(count);
+    }
 
-    // Load-buffer ring state lives in locals across the range loop:
-    // the member stores would otherwise force a reload per line (a
-    // tile load is up to 64 of them).
-    const u32 lb_entries = lb_entries_[lane];
-    u64 lb_fills = lb_fills_[lane];
-    u32 lb_cursor = lb_cursor_[lane];
-    Cycles *lb = load_buffer_.data() + std::size_t{lane} * lb_stride_;
-    const FlatCycleMap &stores = store_line_ready_[lane];
-    const u32 lsu_units = lsu_units_[lane];
+    // Cache probes take no input from any lane's timing, so probing
+    // the whole strip here, in line order, evolves the bank exactly
+    // as each lane's serial issue loop would have -- once for all
+    // lanes instead of once per lane.
+    cache_.probeSpan(first * u64{kLineBytes}, kLineBytes, count,
+                     probe_.data());
 
-    // Phase 2: the serial issue loop (port contention + load-buffer
-    // occupancy + store forwarding).
+    // The store index is read before this op records its own range
+    // (a TileStore waits on earlier stores, never on itself).
+    aliased_ = first <= stored_line_max_ && last >= stored_line_min_;
+    if (aliased_) {
+        for (u64 i = 0; i < count; ++i) {
+            const Cycles *slot = store_slot_.find(first + i);
+            alias_[i] = slot ? static_cast<u32>(*slot) : kNoStore;
+        }
+    }
+    return count;
+}
+
+Cycles
+LaneReplayer::issueStrip(Lane &lane, u64 count) const
+{
+    // The serial issue loop: port contention, load-buffer occupancy
+    // and store forwarding, with the line latencies and store slots
+    // read from the shared strips.  The load-buffer ring state lives
+    // in locals across the loop (a tile load is up to 64 lines).
+    const Cycles *probe = probe_.data();
+    const u32 *alias = aliased_ ? alias_.data() : nullptr;
+    const Cycles *store_ready = lane.storeReady.data();
+    Cycles *lb = lane.loadBuffer.data();
+    Cycles *lsu = lane.lsuFree.data();
+    const u32 lb_entries = lane.lbEntries;
+    const u32 lsu_units = lane.numLsus;
+    const Cycles earliest = lane.ready;
+    u64 lb_fills = lane.lbFills;
+    u32 lb_cursor = lane.lbCursor;
+
     Cycles complete = earliest;
-    for (u64 line = first; line <= last; ++line) {
+    for (u64 i = 0; i < count; ++i) {
         // A new line fill needs a free load-buffer entry: wait for
         // the entry allocated lb_entries fills ago, whose completion
         // time still sits in the ring slot about to be overwritten.
         Cycles line_earliest = earliest;
         if (lb_fills >= lb_entries)
             line_earliest = std::max(line_earliest, lb[lb_cursor]);
-        if (may_alias_store) {
-            if (const Cycles *st = stores.find(line))
-                line_earliest = std::max(line_earliest, *st);
-        }
-        const Cycles port =
-            acquireUnit(lsu_free_, lane, lsu_units, line_earliest);
-        const Cycles latency =
-            batched ? probe[line - first]
-                    : cache_.accessLine(lane, line * u64{kLineBytes});
-        const Cycles line_done = port + latency;
+        if (alias && alias[i] != kNoStore)
+            line_earliest =
+                std::max(line_earliest, store_ready[alias[i]]);
+        const Cycles line_done =
+            acquireUnit(lsu, lsu_units, line_earliest) + probe[i];
         lb[lb_cursor] = line_done;
         if (++lb_cursor == lb_entries)
             lb_cursor = 0;
         ++lb_fills;
         complete = std::max(complete, line_done);
     }
-    lb_fills_[lane] = lb_fills;
-    lb_cursor_[lane] = lb_cursor;
+    lane.lbFills = lb_fills;
+    lane.lbCursor = lb_cursor;
     return complete;
 }
 
-void
-LaneReplayer::recordStoreRange(u32 lane, Cycles data_ready, Addr addr,
-                               u64 bytes)
+u32
+LaneReplayer::recordStoreRange(Addr addr, u64 bytes)
 {
     const u64 first = addr / kLineBytes;
     const u64 last = (addr + std::max<u64>(bytes, 1) - 1) / kLineBytes;
-    stored_line_min_[lane] = std::min(stored_line_min_[lane], first);
-    stored_line_max_[lane] = std::max(stored_line_max_[lane], last);
-    FlatCycleMap &stores = store_line_ready_[lane];
+    stored_line_min_ = std::min(stored_line_min_, first);
+    stored_line_max_ = std::max(stored_line_max_, last);
+
+    // A store over exactly the range an existing slot was created
+    // for (a kernel re-storing its C tile) takes that slot back:
+    // only lines of that range ever point at it, and every one of
+    // them now names this store.  Any other range opens a new slot.
+    // Slots therefore grow with distinct store ranges, not with the
+    // stream's length.
+    const Cycles *prior = store_slot_.find(first);
+    u32 slot = 0;
+    if (prior && slot_range_[*prior] == std::make_pair(first, last)) {
+        slot = static_cast<u32>(*prior);
+    } else {
+        slot = static_cast<u32>(slot_range_.size());
+        VEGETA_ASSERT(slot != kNoStore, "store slot space exhausted");
+        slot_range_.emplace_back(first, last);
+        for (Lane &lane : lanes_)
+            lane.storeReady.push_back(0);
+    }
     for (u64 line = first; line <= last; ++line)
-        stores.insertOrAssign(line, data_ready);
+        store_slot_.insertOrAssign(line, slot);
+    return slot;
 }
 
 void
-LaneReplayer::resetLane(u32 lane)
+LaneReplayer::step(const TraceOp &op)
 {
-    cache_.resetLane(lane);
-    engines_[lane].reset();
-    std::fill_n(alu_free_.begin() + std::size_t{lane} * kMaxUnits,
-                kMaxUnits, 0);
-    std::fill_n(lsu_free_.begin() + std::size_t{lane} * kMaxUnits,
-                kMaxUnits, 0);
-    std::fill_n(vec_free_.begin() + std::size_t{lane} * kMaxUnits,
-                kMaxUnits, 0);
-    // The rings and load buffer need no clearing: every slot is
-    // written before the op-index guards allow it to be read again.
-    lb_fills_[lane] = 0;
-    lb_cursor_[lane] = 0;
-    std::fill_n(rename_ready_.begin() +
-                    std::size_t{lane} * isa::kNumDepRegs,
-                isa::kNumDepRegs, 0);
-    std::fill_n(rename_engine_.begin() +
-                    std::size_t{lane} * isa::kNumDepRegs,
-                isa::kNumDepRegs, u8{0});
-    vector_chains_[lane].clear();
-    store_line_ready_[lane].clear();
-    stored_line_min_[lane] = ~u64{0};
-    stored_line_max_[lane] = 0;
-    ops_[lane] = 0;
-    last_retire_[lane] = 0;
-    std::fill_n(kind_counts_.begin() + std::size_t{lane} * 8, 8,
-                u64{0});
-    engine_instructions_[lane] = 0;
-    engine_last_finish_[lane] = 0;
-    effectual_macs_[lane] = 0;
-}
-
-void
-LaneReplayer::reset()
-{
-    for (u32 lane = 0; lane < num_lanes_; ++lane)
-        resetLane(lane);
-}
-
-Cycles
-LaneReplayer::dispatchOp(u32 lane, const TraceOp &op)
-{
-    // The entry point of every op, however it reaches the scheduler:
-    // reject ops that would index outside the fixed kind/register
-    // tables (step() is a public sink fed by arbitrary producers).
+    // step() is a public sink fed by arbitrary producers: reject ops
+    // that would index outside the fixed kind/register tables.
     VEGETA_ASSERT(static_cast<u32>(op.kind) < 8,
                   "trace op with invalid kind");
-    VEGETA_ASSERT(lane < num_lanes_, "lane index out of range");
-    const u64 i = ops_[lane]++;
-    ++kind_counts_[std::size_t{lane} * 8 + static_cast<u32>(op.kind)];
+    const u64 i = ops_++;
+    ++kind_counts_[static_cast<u32>(op.kind)];
 
-    Cycles *dispatch = dispatch_ring_.data() +
-                       std::size_t{lane} * ring_stride_;
-    const Cycles *retire = retire_ring_.data() +
-                           std::size_t{lane} * ring_stride_;
-
-    // Dispatch: fetch width, program order, ROB space.
-    Cycles d = front_end_depth_[lane];
-    if (i > 0)
-        d = std::max(d, dispatch[(i - 1) & ring_mask_]);
-    if (i >= fetch_width_[lane])
-        d = std::max(d,
-                     dispatch[(i - fetch_width_[lane]) & ring_mask_] +
-                         1);
-    if (i >= rob_entries_[lane])
-        d = std::max(d, retire[(i - rob_entries_[lane]) & ring_mask_]);
-    dispatch[i & ring_mask_] = d;
-    return d;
-}
-
-void
-LaneReplayer::retireOp(u32 lane, u64 i, Cycles complete)
-{
-    Cycles *retire = retire_ring_.data() +
-                     std::size_t{lane} * ring_stride_;
-
-    // In-order retirement, retireWidth per cycle.
-    Cycles r = complete;
-    if (i > 0)
-        r = std::max(r, retire[(i - 1) & ring_mask_]);
-    if (i >= retire_width_[lane])
-        r = std::max(
-            r, retire[(i - retire_width_[lane]) & ring_mask_] + 1);
-    retire[i & ring_mask_] = r;
-    last_retire_[lane] = r;
-}
-
-void
-LaneReplayer::step(u32 lane, const TraceOp &op)
-{
-    const Cycles d = dispatchOp(lane, op);
-    const u64 i = ops_[lane] - 1;
-
-    Cycles *rename_ready = rename_ready_.data() +
-                           std::size_t{lane} * isa::kNumDepRegs;
-    u8 *rename_engine = rename_engine_.data() +
-                        std::size_t{lane} * isa::kNumDepRegs;
-
-    Cycles complete = d;
     switch (op.kind) {
       case UopKind::Alu:
       case UopKind::Branch: {
-        complete =
-            acquireUnit(alu_free_, lane, alu_units_[lane], d) + 1;
+        for (Lane &lane : lanes_) {
+            const Cycles d = dispatch(lane, i);
+            retire(lane, i,
+                   acquireUnit(lane.aluFree.data(), lane.numAlus, d) +
+                       1);
+        }
         break;
       }
       case UopKind::Load: {
-        complete = issueLineRange(lane, d, op.addr, op.bytes);
+        for (Lane &lane : lanes_)
+            lane.ready = dispatch(lane, i);
+        issueLineRange(op.addr, op.bytes);
+        for (Lane &lane : lanes_)
+            retire(lane, i, lane.complete);
         break;
       }
       case UopKind::Store: {
         // Stores retire from the store queue post-commit; occupy a
         // port for address generation only.
-        complete =
-            acquireUnit(lsu_free_, lane, lsu_units_[lane], d) + 1;
-        recordStoreRange(lane, complete, op.addr, op.bytes);
+        const u32 slot = recordStoreRange(op.addr, op.bytes);
+        for (Lane &lane : lanes_) {
+            const Cycles d = dispatch(lane, i);
+            const Cycles complete =
+                acquireUnit(lane.lsuFree.data(), lane.numLsus, d) + 1;
+            lane.storeReady[slot] = complete;
+            retire(lane, i, complete);
+        }
         break;
       }
       case UopKind::VectorFma: {
-        Cycles ready = d;
-        if (op.chain != 0) {
-            if (const Cycles *it = vector_chains_[lane].find(op.chain))
-                ready = std::max(ready, *it);
+        for (Lane &lane : lanes_) {
+            Cycles ready = dispatch(lane, i);
+            if (op.chain != 0) {
+                if (const Cycles *it = lane.vectorChains.find(op.chain))
+                    ready = std::max(ready, *it);
+            }
+            const Cycles complete =
+                acquireUnit(lane.vecFree.data(), lane.numVecs, ready) +
+                lane.vectorFmaLatency;
+            if (op.chain != 0)
+                lane.vectorChains.insertOrAssign(op.chain, complete);
+            retire(lane, i, complete);
         }
-        complete = acquireUnit(vec_free_, lane, vec_units_[lane],
-                               ready) +
-                   vector_fma_latency_[lane];
-        if (op.chain != 0)
-            vector_chains_[lane].insertOrAssign(op.chain, complete);
         break;
       }
       case UopKind::TileLoad: {
-        const u32 bytes =
-            op.tile.op == isa::Opcode::TileLoadM
-                ? isa::kMregBytes + isa::kMregDescBytes
-                : isa::regClassBytes(op.tile.dst.cls);
-        complete = issueLineRange(lane, d, op.tile.addr, bytes);
-        for (u32 reg : op.tile.writeRegList()) {
-            rename_ready[reg] = complete;
-            rename_engine[reg] = 0;
-            engines_[lane].invalidateReg(reg);
+        for (Lane &lane : lanes_)
+            lane.ready = dispatch(lane, i);
+        issueLineRange(op.tile.addr, tileLoadBytes(op.tile));
+        const auto writes = op.tile.writeRegList();
+        for (Lane &lane : lanes_) {
+            for (u32 reg : writes) {
+                lane.renameReady[reg] = lane.complete;
+                lane.renameEngine[reg] = 0;
+                lane.engine.invalidateReg(reg);
+            }
+            retire(lane, i, lane.complete);
         }
         break;
       }
       case UopKind::TileStore: {
-        Cycles ready = d;
-        for (u32 reg : op.tile.readRegList()) {
-            Cycles reg_ready = rename_ready[reg];
-            if (rename_engine[reg])
-                reg_ready = std::max(
-                    reg_ready,
-                    toCoreCycles(lane,
-                                 engines_[lane].regReadyFull(reg)));
-            ready = std::max(ready, reg_ready);
+        const auto reads = op.tile.readRegList();
+        for (Lane &lane : lanes_) {
+            Cycles ready = dispatch(lane, i);
+            for (u32 reg : reads) {
+                Cycles reg_ready = lane.renameReady[reg];
+                if (lane.renameEngine[reg])
+                    reg_ready = std::max(
+                        reg_ready, lane.engine.regReadyFull(reg) *
+                                       lane.engineClockDivider);
+                ready = std::max(ready, reg_ready);
+            }
+            lane.ready = ready;
         }
-        complete =
-            issueLineRange(lane, ready, op.tile.addr, isa::kTregBytes);
-        recordStoreRange(lane, complete, op.tile.addr,
-                         isa::kTregBytes);
+        // Earlier stores are read before this one records its slot.
+        issueLineRange(op.tile.addr, isa::kTregBytes);
+        const u32 slot =
+            recordStoreRange(op.tile.addr, isa::kTregBytes);
+        for (Lane &lane : lanes_) {
+            lane.storeReady[slot] = lane.complete;
+            retire(lane, i, lane.complete);
+        }
         break;
       }
       case UopKind::TileCompute: {
-        // Non-engine (load-produced) operand readiness; engine-
-        // produced operands are sequenced inside PipelineModel,
-        // including output forwarding on the accumulator.
-        Cycles ready = d;
-        for (u32 reg : op.tile.readRegList()) {
-            if (!rename_engine[reg])
-                ready = std::max(ready, rename_ready[reg]);
+        const auto reads = op.tile.readRegList();
+        const auto writes = op.tile.writeRegList();
+        for (Lane &lane : lanes_) {
+            // Non-engine (load-produced) operand readiness; engine-
+            // produced operands are sequenced inside PipelineModel,
+            // including output forwarding on the accumulator.
+            Cycles ready = dispatch(lane, i);
+            for (u32 reg : reads) {
+                if (!lane.renameEngine[reg])
+                    ready = std::max(ready, lane.renameReady[reg]);
+            }
+            // Round up: an engine instruction can begin at the next
+            // engine clock edge at or after the core-cycle issue.
+            const u32 div = lane.engineClockDivider;
+            const engine::ScheduledOp sched =
+                lane.engine.issue(op.tile, (ready + div - 1) / div);
+            const Cycles complete = sched.finish * div;
+            for (u32 reg : writes) {
+                lane.renameReady[reg] = complete;
+                lane.renameEngine[reg] = 1;
+            }
+            lane.engineLastFinish =
+                std::max(lane.engineLastFinish, complete);
+            retire(lane, i, complete);
         }
-        const engine::ScheduledOp sched = engines_[lane].issue(
-            op.tile, toEngineCycles(lane, ready));
-        complete = toCoreCycles(lane, sched.finish);
-        for (u32 reg : op.tile.writeRegList()) {
-            rename_ready[reg] = complete;
-            rename_engine[reg] = 1;
-        }
-        ++engine_instructions_[lane];
-        engine_last_finish_[lane] =
-            std::max(engine_last_finish_[lane], complete);
-        effectual_macs_[lane] += isa::effectualMacs(op.tile.op);
+        ++engine_instructions_;
+        effectual_macs_ += isa::effectualMacs(op.tile.op);
         break;
       }
-    }
-
-    retireOp(lane, i, complete);
-}
-
-void
-LaneReplayer::beginLineOp(u32 lane, const TraceOp &op, LineJob &job)
-{
-    const Cycles d = dispatchOp(lane, op);
-
-    job.lane = lane;
-    job.kind = op.kind;
-    job.op = &op;
-
-    // Per-kind operand readiness and range, exactly as step() computes
-    // them before its issueLineRange call.
-    Cycles earliest = d;
-    Addr addr = 0;
-    u64 bytes = 1;
-    switch (op.kind) {
-      case UopKind::Load: {
-        addr = op.addr;
-        bytes = op.bytes;
-        break;
-      }
-      case UopKind::TileLoad: {
-        addr = op.tile.addr;
-        bytes = op.tile.op == isa::Opcode::TileLoadM
-                    ? isa::kMregBytes + isa::kMregDescBytes
-                    : isa::regClassBytes(op.tile.dst.cls);
-        break;
-      }
-      case UopKind::TileStore: {
-        const Cycles *rename_ready =
-            rename_ready_.data() + std::size_t{lane} * isa::kNumDepRegs;
-        const u8 *rename_engine =
-            rename_engine_.data() +
-            std::size_t{lane} * isa::kNumDepRegs;
-        for (u32 reg : op.tile.readRegList()) {
-            Cycles reg_ready = rename_ready[reg];
-            if (rename_engine[reg])
-                reg_ready = std::max(
-                    reg_ready,
-                    toCoreCycles(lane,
-                                 engines_[lane].regReadyFull(reg)));
-            earliest = std::max(earliest, reg_ready);
-        }
-        addr = op.tile.addr;
-        bytes = isa::kTregBytes;
-        break;
-      }
-      default:
-        VEGETA_ASSERT(false, "beginLineOp on a non-line-range op");
-    }
-
-    job.line = addr / kLineBytes;
-    job.first = job.line;
-    job.last = (addr + std::max<u64>(bytes, 1) - 1) / kLineBytes;
-    job.earliest = earliest;
-    job.complete = earliest;
-    job.may_alias = job.line <= stored_line_max_[lane] &&
-                    job.last >= stored_line_min_[lane];
-    job.lb_fills = lb_fills_[lane];
-    job.lb_cursor = lb_cursor_[lane];
-    job.lb_entries = lb_entries_[lane];
-    // Batch the range's cache probes up front (they commute with the
-    // serial issue loop, see probeRange): the parked job then carries
-    // its line latencies, and the strip loop is free of tag scans.
-    job.batched =
-        probeRange(lane, job.first, job.last - job.first + 1,
-                   job.probe);
-}
-
-void
-LaneReplayer::lineStep(LineJob &job)
-{
-    // One iteration of issueLineRange's loop, with the load-buffer
-    // ring state carried in the job (no other op of the lane can run
-    // while it is parked, so the members stay coherent).
-    const u32 lane = job.lane;
-    Cycles *lb = load_buffer_.data() + std::size_t{lane} * lb_stride_;
-
-    Cycles line_earliest = job.earliest;
-    if (job.lb_fills >= job.lb_entries)
-        line_earliest = std::max(line_earliest, lb[job.lb_cursor]);
-    if (job.may_alias) {
-        if (const Cycles *st = store_line_ready_[lane].find(job.line))
-            line_earliest = std::max(line_earliest, *st);
-    }
-    const Cycles port =
-        acquireUnit(lsu_free_, lane, lsu_units_[lane], line_earliest);
-    const Cycles latency =
-        job.batched
-            ? job.probe[job.line - job.first]
-            : cache_.accessLine(lane, job.line * u64{kLineBytes});
-    const Cycles line_done = port + latency;
-    lb[job.lb_cursor] = line_done;
-    if (++job.lb_cursor == job.lb_entries)
-        job.lb_cursor = 0;
-    ++job.lb_fills;
-    job.complete = std::max(job.complete, line_done);
-    ++job.line;
-}
-
-void
-LaneReplayer::lineRun(LineJob &job)
-{
-    // issueLineRange's serial loop over the job's remaining lines,
-    // with the ring state in locals.  Used when a job is the only one
-    // left in the strip (K = 1 packs and every pack's tail): stepping
-    // it one line per pass would pay the per-line job loads/stores
-    // with no other lane's work to overlap.
-    const u32 lane = job.lane;
-    Cycles *lb = load_buffer_.data() + std::size_t{lane} * lb_stride_;
-    const FlatCycleMap &stores = store_line_ready_[lane];
-    const u32 lsu_units = lsu_units_[lane];
-    const u32 lb_entries = job.lb_entries;
-    u64 lb_fills = job.lb_fills;
-    u32 lb_cursor = job.lb_cursor;
-    Cycles complete = job.complete;
-    for (u64 line = job.line; line <= job.last; ++line) {
-        Cycles line_earliest = job.earliest;
-        if (lb_fills >= lb_entries)
-            line_earliest = std::max(line_earliest, lb[lb_cursor]);
-        if (job.may_alias) {
-            if (const Cycles *st = stores.find(line))
-                line_earliest = std::max(line_earliest, *st);
-        }
-        const Cycles port =
-            acquireUnit(lsu_free_, lane, lsu_units, line_earliest);
-        const Cycles latency =
-            job.batched
-                ? job.probe[line - job.first]
-                : cache_.accessLine(lane, line * u64{kLineBytes});
-        const Cycles line_done = port + latency;
-        lb[lb_cursor] = line_done;
-        if (++lb_cursor == lb_entries)
-            lb_cursor = 0;
-        ++lb_fills;
-        complete = std::max(complete, line_done);
-    }
-    job.lb_fills = lb_fills;
-    job.lb_cursor = lb_cursor;
-    job.complete = complete;
-    job.line = job.last + 1;
-}
-
-void
-LaneReplayer::finishLineOp(LineJob &job)
-{
-    const u32 lane = job.lane;
-    const TraceOp &op = *job.op;
-    lb_fills_[lane] = job.lb_fills;
-    lb_cursor_[lane] = job.lb_cursor;
-
-    switch (job.kind) {
-      case UopKind::TileLoad: {
-        Cycles *rename_ready =
-            rename_ready_.data() + std::size_t{lane} * isa::kNumDepRegs;
-        u8 *rename_engine = rename_engine_.data() +
-                            std::size_t{lane} * isa::kNumDepRegs;
-        for (u32 reg : op.tile.writeRegList()) {
-            rename_ready[reg] = job.complete;
-            rename_engine[reg] = 0;
-            engines_[lane].invalidateReg(reg);
-        }
-        break;
-      }
-      case UopKind::TileStore: {
-        recordStoreRange(lane, job.complete, op.tile.addr,
-                         isa::kTregBytes);
-        break;
-      }
-      default:
-        break;
-    }
-
-    // Safe to use ops_[lane] - 1: the op was dispatched by beginLineOp
-    // and no other op of this lane has run since.
-    retireOp(lane, ops_[lane] - 1, job.complete);
-}
-
-void
-LaneReplayer::runLineJobs(std::vector<LineJob> &slots,
-                          std::vector<u32> &strip)
-{
-    // Strip execution: one line per parked lane per pass, so each
-    // lane's serial issue chain (load-buffer wait, port acquire)
-    // overlaps the other lanes' in the host's OoO window.  Jobs stay
-    // in their fixed per-lane slot; the strip is an index list and
-    // compaction moves 4-byte lane ids, never the jobs.
-    std::size_t active = strip.size();
-    while (active > 0) {
-        if (active == 1) {
-            // A lone job has no one to overlap with: finish it in the
-            // inline serial loop instead of per-line passes.
-            LineJob &job = slots[strip[0]];
-            lineRun(job);
-            finishLineOp(job);
-            return;
-        }
-        std::size_t keep = 0;
-        for (std::size_t j = 0; j < active; ++j) {
-            LineJob &job = slots[strip[j]];
-            lineStep(job);
-            if (job.line <= job.last)
-                strip[keep++] = strip[j];
-            else
-                finishLineOp(job);
-        }
-        active = keep;
     }
 }
 
 SimResult
-LaneReplayer::finishLane(u32 lane)
+LaneReplayer::result(const Lane &lane) const
 {
     SimResult result;
-    if (ops_[lane] > 0) {
-        result.totalCycles = last_retire_[lane];
-        result.retiredOps = ops_[lane];
-        const u64 *counts = kind_counts_.data() + std::size_t{lane} * 8;
-        for (u32 k = 0; k < 8; ++k)
-            if (counts[k] > 0)
-                result.kindCounts[static_cast<UopKind>(k)] = counts[k];
-        result.engineInstructions = engine_instructions_[lane];
-        result.engineLastFinish = engine_last_finish_[lane];
-        result.cacheHits = cache_.hits(lane);
-        result.cacheMisses = cache_.misses(lane);
-        if (result.totalCycles > 0) {
-            const double engine_cycles =
-                static_cast<double>(result.totalCycles) /
-                engine_clock_divider_[lane];
-            result.macUtilization =
-                static_cast<double>(effectual_macs_[lane]) /
-                (engine_cycles * engine::kTotalMacs);
-        }
+    if (ops_ == 0)
+        return result;
+    result.totalCycles = lane.lastRetire;
+    result.retiredOps = ops_;
+    for (u32 k = 0; k < 8; ++k)
+        if (kind_counts_[k] > 0)
+            result.kindCounts[static_cast<UopKind>(k)] =
+                kind_counts_[k];
+    result.engineInstructions = engine_instructions_;
+    result.engineLastFinish = lane.engineLastFinish;
+    result.cacheHits = cache_.hits();
+    result.cacheMisses = cache_.misses();
+    if (result.totalCycles > 0) {
+        const double engine_cycles =
+            static_cast<double>(result.totalCycles) /
+            lane.engineClockDivider;
+        result.macUtilization =
+            static_cast<double>(effectual_macs_) /
+            (engine_cycles * engine::kTotalMacs);
     }
-    resetLane(lane);
     return result;
 }
 
 std::vector<SimResult>
-LaneReplayer::replay(const std::vector<const Trace *> &traces)
+LaneReplayer::finish()
 {
-    VEGETA_ASSERT(traces.size() == num_lanes_,
-                  "replay needs exactly one trace per lane, got ",
-                  traces.size(), " traces for ", num_lanes_,
-                  " lanes");
-
-    // Coarse telemetry only, outside the hot loop: one timer sample
-    // and two counter adds per replay() call, nothing per uop.
-    u64 total_uops = 0;
-    for (const Trace *trace : traces)
-        total_uops += trace->size();
-    static const telemetry::MetricId replays_id =
-        telemetry::counterId("lane.replays");
-    static const telemetry::MetricId uops_id =
-        telemetry::counterId("lane.uops");
-    static const telemetry::MetricId timer_id =
-        telemetry::timerId("lane.replay");
-    telemetry::add(replays_id, 1);
-    telemetry::add(uops_id, total_uops);
-    telemetry::ScopedTimer replay_scope(timer_id);
-    telemetry::Span replay_span("lane.replay", total_uops);
-
-    // Park-and-strip interleaving.  Per round, every unfinished lane
-    // advances through its cheap ops (step()) until it reaches a
-    // line-range op (Load / TileLoad / TileStore), which is dispatched
-    // and *parked* as a LineJob; the parked jobs' per-line loops then
-    // run as an interleaved strip, one line per lane per pass
-    // (runLineJobs).  The line loops are where replay spends most of
-    // its time, and a single op's loop is serial -- load-buffer wait,
-    // port acquire, tag probe -- so interleaving at op granularity
-    // would leave each loop's chain unoverlapped.  Per-lane op order
-    // is exactly program order throughout, and lanes share no state,
-    // so results stay bit-identical to sequential single-stream runs.
-    std::vector<u32> active;
-    std::vector<std::size_t> cursor(num_lanes_, 0);
-    std::vector<LineJob> slots(num_lanes_);
-    std::vector<u32> strip;
-    active.reserve(num_lanes_);
-    strip.reserve(num_lanes_);
-    for (u32 lane = 0; lane < num_lanes_; ++lane) {
-        resetLane(lane);
-        if (!traces[lane]->empty())
-            active.push_back(lane);
-    }
-
-    while (!active.empty()) {
-        strip.clear();
-        std::size_t keep = 0;
-        for (std::size_t a = 0; a < active.size(); ++a) {
-            const u32 lane = active[a];
-            const Trace &trace = *traces[lane];
-            while (cursor[lane] < trace.size()) {
-                const TraceOp &op = trace[cursor[lane]++];
-                if (isLineRangeOp(op.kind)) {
-                    beginLineOp(lane, op, slots[lane]);
-                    strip.push_back(lane);
-                    break;
-                }
-                step(lane, op);
-            }
-            if (cursor[lane] < trace.size())
-                active[keep++] = lane;
-        }
-        active.resize(keep);
-        runLineJobs(slots, strip);
-    }
-
     std::vector<SimResult> results;
-    results.reserve(num_lanes_);
-    for (u32 lane = 0; lane < num_lanes_; ++lane)
-        results.push_back(finishLane(lane));
+    results.reserve(lanes_.size());
+    for (const Lane &lane : lanes_)
+        results.push_back(result(lane));
+    reset();
     return results;
 }
 
 std::vector<SimResult>
-LaneReplayer::replay(const std::vector<Trace> &traces)
+LaneReplayer::run(const Trace &trace)
 {
-    std::vector<const Trace *> pointers;
-    pointers.reserve(traces.size());
-    for (const Trace &trace : traces)
-        pointers.push_back(&trace);
-    return replay(pointers);
+    reset();
+    for (const TraceOp &op : trace)
+        step(op);
+    return finish();
+}
+
+void
+LaneReplayer::reset()
+{
+    for (Lane &lane : lanes_)
+        lane.reset();
+    cache_.reset();
+    ops_ = 0;
+    kind_counts_.fill(0);
+    engine_instructions_ = 0;
+    effectual_macs_ = 0;
+    store_slot_.clear();
+    slot_range_.clear();
+    stored_line_min_ = ~u64{0};
+    stored_line_max_ = 0;
 }
 
 } // namespace vegeta::cpu

@@ -1,29 +1,33 @@
 /**
  * @file
- * Struct-of-arrays replay core: K independent traces per core in
- * interleaved lanes.
+ * Shared-stream replay core: K core/engine configurations replaying
+ * one uop stream in lock step.
  *
- * The single-stream replayer (TraceCpu) is limited by its dependence
- * chains, not by work: every op's dispatch reads the previous op's
- * dispatch, the cache probe chases the tag bank, the rename array and
- * cycle maps are serial loads.  One trace cannot fill a modern host
- * core.  LaneReplayer restructures the whole per-op state as parallel
- * arrays indexed by lane -- dispatch/retire rings, the flat rename
- * array, load-buffer ring, resource pools, FlatCycleMap probes, and
- * the cache tag banks (LaneCacheModel) all live in contiguous
- * lane-major storage -- and round-robins K *independent* traces
- * through one hot loop.  Each lane's dependent loads then overlap the
- * other lanes' work in the host's out-of-order window, which is where
- * the throughput comes from; no cross-lane state exists at all.
+ * Figure 13 replays one kernel trace per layer and pattern through
+ * every Table III engine, so a sweep holds far fewer distinct uop
+ * streams than jobs.  Everything about a stream that does not depend
+ * on timing is the same for every configuration replaying it: the op
+ * sequence itself, the L1 hit/miss sequence (a pure function of the
+ * line-address sequence and the CacheConfig), which earlier store
+ * last wrote each line, and the op/kind/engine-instruction counts.
+ * LaneReplayer computes those once per op and keeps per lane only the
+ * timing state -- dispatch/retire rings, rename table, functional-unit
+ * pools, load-buffer ring, vector-chain map, the completion cycle of
+ * each store, and an engine::PipelineModel.
  *
- * Bit-exactness contract: a lane is a faithful port of TraceCpu's
- * scheduler over lane-indexed state, and lanes share nothing, so
- * replaying K traces lane-batched produces results bit-identical to K
- * sequential single-stream replays -- for every K, every interleaving
- * order, and heterogeneous per-lane core/engine configurations
- * (golden-cycle and equivalence tests pin this, including hex-float
- * macUtilization).  TraceCpu itself is a thin wrapper over a one-lane
- * LaneReplayer, so the single-stream path cannot drift.
+ * Per op, step() (or the shared sink()) does the shared work first:
+ * a Load / TileLoad / TileStore probes the one L1 tag bank once into
+ * a latency strip and looks up each line's last store in the shared
+ * line->store-slot index; then every lane schedules the op against
+ * its own timing state, reading the strips.
+ *
+ * Bit-exactness contract: each lane's result is bit-identical to a
+ * single-stream replay of the same stream under that lane's
+ * configuration (golden-cycle and fuzz tests pin this, including
+ * hex-float macUtilization).  Lanes must share one CacheConfig -- the
+ * probe strip is only exact for the bank it was probed on -- and the
+ * constructor asserts it.  TraceCpu is the one-lane facade, so the
+ * single-stream path runs exactly this code at K = 1.
  */
 
 #ifndef VEGETA_CPU_LANE_REPLAYER_HPP
@@ -73,11 +77,12 @@ struct SimResult
     double macUtilization = 0.0;
 };
 
-/** K-lane struct-of-arrays trace replayer. */
+/** K configurations replaying one shared uop stream. */
 class LaneReplayer
 {
   public:
-    /** One lane's configuration; lanes may be heterogeneous. */
+    /** One lane's configuration; lanes may differ in everything but
+     *  core.cache. */
     struct LaneSpec
     {
         CoreConfig core;
@@ -85,229 +90,169 @@ class LaneReplayer
     };
 
     explicit LaneReplayer(const std::vector<LaneSpec> &lanes);
+    // The shared sink points back at its replayer.
+    LaneReplayer(const LaneReplayer &) = delete;
+    LaneReplayer &operator=(const LaneReplayer &) = delete;
 
-    /** Number of lanes (fixed at construction). */
-    u32 lanes() const { return num_lanes_; }
+    /** Schedule the stream's next op on every lane. */
+    void step(const TraceOp &op);
 
-    /** Schedule the next op of @p lane's stream. */
-    void step(u32 lane, const TraceOp &op);
+    /** The shared sink: kernels emit uops straight into step(). */
+    TraceSink &sink() { return sink_; }
 
     /**
-     * Statistics of the stream @p lane stepped since its last reset;
-     * leaves the lane reset for its next stream.
+     * Every lane's statistics over the ops stepped since reset();
+     * leaves the replayer reset.
      */
-    SimResult finishLane(u32 lane);
+    std::vector<SimResult> finish();
 
-    /** Reset one lane to a cold pipeline, discarding partial state. */
-    void resetLane(u32 lane);
+    /** Batch convenience: reset, step every op, finish. */
+    std::vector<SimResult> run(const Trace &trace);
 
-    /** Reset every lane. */
+    /** Back to a cold pipeline on every lane; keeps allocations. */
     void reset();
-
-    /**
-     * The lane's streaming facade: kernels emit uops straight into
-     * lane contexts through the TraceSink interface.
-     */
-    TraceSink &sink(u32 lane) { return sinks_[lane]; }
-
-    /**
-     * Replay traces[i] on lane i (one trace per lane) by round-robin
-     * interleaving: each pass steps one ready op per unfinished lane,
-     * so every lane's dependence chains overlap the others'.  Lanes
-     * that finish early drop out of the rotation.  results[i] is
-     * bit-identical to TraceCpu(lanes[i]).run(*traces[i]).
-     */
-    std::vector<SimResult>
-    replay(const std::vector<const Trace *> &traces);
-
-    /** Convenience overload over owned traces. */
-    std::vector<SimResult> replay(const std::vector<Trace> &traces);
 
     const CoreConfig &coreConfig(u32 lane) const
     {
-        return cores_[lane];
+        return lanes_[lane].core;
     }
     const engine::EngineConfig &engineConfig(u32 lane) const
     {
-        return engine_configs_[lane];
+        return lanes_[lane].engine.config();
     }
 
   private:
     /** Line size memory traffic splits at (Section V-F). */
     static constexpr u32 kLineBytes = 64;
-    /** Widest supported functional-unit pool (flattened stride). */
+    /** Widest supported functional-unit pool. */
     static constexpr u32 kMaxUnits = 16;
-    /** Longest line range whose cache probes are batch-hoisted. */
-    static constexpr u32 kProbeBatch = 64;
+    /** Alias-strip marker for a line no earlier store wrote. */
+    static constexpr u32 kNoStore = ~u32{0};
+    /** Longest strip of lines probed at once (a tile is 16-19). */
+    static constexpr u64 kStripLines = 1024;
 
-    class LaneSink final : public TraceSink
+    class SharedSink final : public TraceSink
     {
       public:
-        LaneSink() = default;
-        LaneSink(LaneReplayer *owner, u32 lane)
-            : owner_(owner), lane_(lane)
-        {
-        }
+        explicit SharedSink(LaneReplayer *owner) : owner_(owner) {}
 
         void
         emit(const TraceOp &op) override
         {
-            owner_->step(lane_, op);
+            owner_->step(op);
         }
 
       private:
-        LaneReplayer *owner_ = nullptr;
-        u32 lane_ = 0;
+        LaneReplayer *owner_;
     };
 
-    /**
-     * One parked line-range op (Load / TileLoad / TileStore) whose
-     * per-line loop is being executed in the interleaved strip: the
-     * replay driver advances every lane to its next line-range op,
-     * then steps the parked jobs one line per lane per pass, so each
-     * lane's serial acquire/probe/tag chain overlaps the others'.
-     */
-    struct LineJob
+    /** One configuration's timing state (nothing stream-derived). */
+    struct Lane
     {
-        u32 lane = 0;
-        UopKind kind = UopKind::Load;
-        const TraceOp *op = nullptr;
-        u64 line = 0;  ///< next line index to issue
-        u64 first = 0; ///< first line of the range (probe[] base)
-        u64 last = 0;  ///< final line index of the range
-        Cycles earliest = 0;
+        Lane(const CoreConfig &core,
+             const engine::EngineConfig &engine);
+
+        CoreConfig core;
+        engine::PipelineModel engine;
+
+        // Hot parameters copied out of `core`.
+        u32 fetchWidth;
+        u32 retireWidth;
+        u32 robEntries;
+        u32 lbEntries;
+        u32 numAlus;
+        u32 numLsus;
+        u32 numVecs;
+        u32 engineClockDivider;
+        Cycles frontEndDepth;
+        Cycles vectorFmaLatency;
+
+        // Dispatch/retire windows: the scheduler looks back at most
+        // max(fetchWidth, retireWidth, robEntries) ops, so op i lives
+        // at slot i & ringMask of a power-of-two ring.
+        u64 ringMask;
+        std::vector<Cycles> dispatchRing;
+        std::vector<Cycles> retireRing;
+
+        std::vector<Cycles> loadBuffer;
+        u64 lbFills = 0;
+        u32 lbCursor = 0;
+
+        std::array<Cycles, kMaxUnits> aluFree{};
+        std::array<Cycles, kMaxUnits> lsuFree{};
+        std::array<Cycles, kMaxUnits> vecFree{};
+
+        // Rename table over the 16-entry physical dep-id space.
+        std::array<Cycles, isa::kNumDepRegs> renameReady{};
+        std::array<u8, isa::kNumDepRegs> renameEngine{};
+
+        FlatCycleMap vectorChains{16};
+        /** Completion cycle of each shared store slot. */
+        std::vector<Cycles> storeReady;
+
+        Cycles lastRetire = 0;
+        Cycles engineLastFinish = 0;
+
+        // The current line-range op: its issue cycle and completion.
+        Cycles ready = 0;
         Cycles complete = 0;
-        bool may_alias = false;
-        bool batched = false; ///< probe[] holds the line latencies
-        // Lane's load-buffer ring state, carried in the job while it
-        // is parked (no other op of the lane can run in between).
-        u64 lb_fills = 0;
-        u32 lb_cursor = 0;
-        u32 lb_entries = 0;
-        /** Batch-hoisted cache latencies, indexed by line - first. */
-        Cycles probe[kProbeBatch];
+
+        void reset();
     };
 
-    Cycles toEngineCycles(u32 lane, Cycles core) const;
-    Cycles toCoreCycles(u32 lane, Cycles eng) const;
+    /** Statistics of @p lane over the ops stepped since reset(). */
+    SimResult result(const Lane &lane) const;
 
-    /** Dispatch accounting shared by step() and the strip driver. */
-    Cycles dispatchOp(u32 lane, const TraceOp &op);
-    /** Retirement accounting shared by step() and the strip driver. */
-    void retireOp(u32 lane, u64 i, Cycles complete);
-
-    /** True for kinds whose execution is a cache-line range loop. */
-    static bool
-    isLineRangeOp(UopKind kind)
-    {
-        return kind == UopKind::Load || kind == UopKind::TileLoad ||
-               kind == UopKind::TileStore;
-    }
-
-    /** Dispatch + operand readiness of one line-range op. */
-    void beginLineOp(u32 lane, const TraceOp &op, LineJob &job);
-    /** One line iteration of a parked job. */
-    void lineStep(LineJob &job);
-    /** Every remaining line of a parked job in one tight loop. */
-    void lineRun(LineJob &job);
-    /** Post-range bookkeeping (rename/store-range) + retirement. */
-    void finishLineOp(LineJob &job);
-    /** Interleaved strip execution of the parked jobs in @p strip. */
-    void runLineJobs(std::vector<LineJob> &slots,
-                     std::vector<u32> &strip);
+    static Cycles dispatch(Lane &lane, u64 i);
+    static void retire(Lane &lane, u64 i, Cycles complete);
 
     /**
-     * Cache-probe every line of [first, first + count) into out[];
-     * returns false (leaving the cache untouched) when the range is
-     * too long for the probes to commute with the serial loop.
+     * Issue the line range [addr, addr + bytes) on every lane: each
+     * lane's serial loop starts at its `ready` cycle and leaves its
+     * completion in `complete`.
      */
-    bool probeRange(u32 lane, u64 first, u64 count, Cycles *out);
+    void issueLineRange(Addr addr, u64 bytes);
 
     /**
-     * Acquire the earliest-free unit of one lane's strip in a
-     * flattened pool ([lane * kMaxUnits + unit]); each issue occupies
-     * the unit for 1 cycle.
+     * The shared half of one strip of lines [first, last]: probe
+     * every line into probe_ and, when the strip may alias an earlier
+     * store, each line's store slot into alias_.  Returns the line
+     * count.
      */
-    Cycles acquireUnit(std::vector<Cycles> &pool, u32 lane, u32 units,
-                       Cycles earliest);
+    u64 prepareStrip(u64 first, u64 last);
 
-    /** Issue [addr, addr+bytes) line by line; returns completion. */
-    Cycles issueLineRange(u32 lane, Cycles earliest, Addr addr,
-                          u64 bytes);
-    /** Mark every line of [addr, addr+bytes) store-owned. */
-    void recordStoreRange(u32 lane, Cycles data_ready, Addr addr,
-                          u64 bytes);
+    /** One lane's serial issue loop over the prepared strip. */
+    Cycles issueStrip(Lane &lane, u64 count) const;
 
-    u32 num_lanes_ = 0;
-    std::vector<CoreConfig> cores_;
-    std::vector<engine::EngineConfig> engine_configs_;
+    /**
+     * Make [addr, addr + bytes) the shared store slot's lines;
+     * returns the slot each lane records its completion cycle in.
+     */
+    u32 recordStoreRange(Addr addr, u64 bytes);
 
-    /** All lanes' L1 tag banks in one contiguous array. */
-    LaneCacheModel cache_;
-    /** One engine scheduler per lane (its reg state is flat arrays). */
-    std::vector<engine::PipelineModel> engines_;
+    std::vector<Lane> lanes_;
+    SharedSink sink_{this};
 
-    // Functional-unit pools, flattened lane-major with a kMaxUnits
-    // stride; unit counts per lane ride in parallel arrays.
-    std::vector<Cycles> alu_free_;
-    std::vector<Cycles> lsu_free_;
-    std::vector<Cycles> vec_free_;
-    std::vector<u32> alu_units_;
-    std::vector<u32> lsu_units_;
-    std::vector<u32> vec_units_;
+    // ---- Shared, stream-derived state -----------------------------
+    CacheModel cache_;
+    u64 ops_ = 0;
+    std::array<u64, 8> kind_counts_{};
+    u64 engine_instructions_ = 0;
+    u64 effectual_macs_ = 0;
 
-    // Hot per-lane scheduler parameters, copied out of cores_[lane]
-    // into parallel arrays so the step loop never chases the config
-    // struct.
-    std::vector<u32> fetch_width_;
-    std::vector<u32> retire_width_;
-    std::vector<u32> rob_entries_;
-    std::vector<Cycles> front_end_depth_;
-    std::vector<Cycles> vector_fma_latency_;
-    std::vector<u32> engine_clock_divider_;
+    /** Cache line -> slot of the last store that wrote it. */
+    FlatCycleMap store_slot_{16};
+    /** Line range each slot was created for, [first, last]. */
+    std::vector<std::pair<u64, u64>> slot_range_;
+    // Bounding box of all stored lines: ranges outside it (the bulk
+    // of A/B tile traffic) skip the store-index lookups.
+    u64 stored_line_min_ = ~u64{0};
+    u64 stored_line_max_ = 0;
 
-    // Dispatch/retire windows: per lane, the scheduler looks back at
-    // most max(fetchWidth, retireWidth, robEntries) ops.  All lanes
-    // share one power-of-two stride (the widest lane's ring size), so
-    // slot (lane, i) lives at [lane * ring_stride_ + (i & ring_mask_)].
-    std::vector<Cycles> dispatch_ring_;
-    std::vector<Cycles> retire_ring_;
-    u64 ring_stride_ = 0;
-    u64 ring_mask_ = 0;
-
-    // Load-buffer rings, lane-major with a uniform stride of the
-    // widest lane's loadBufferEntries; each lane wraps at its own
-    // entry count.
-    std::vector<Cycles> load_buffer_;
-    u32 lb_stride_ = 0;
-    std::vector<u32> lb_entries_;
-    std::vector<u64> lb_fills_;
-    std::vector<u32> lb_cursor_;
-
-    // Rename table over the 16-entry physical dep-id space, flattened
-    // lane-major ([lane * isa::kNumDepRegs + reg]) and split into
-    // parallel ready/engine-produced arrays.
-    std::vector<Cycles> rename_ready_;
-    std::vector<u8> rename_engine_;
-
-    std::vector<FlatCycleMap> vector_chains_;
-    /** Store-to-load memory dependence at cache-line granularity. */
-    std::vector<FlatCycleMap> store_line_ready_;
-    // Per-lane bounding box of all stored lines: loads outside it
-    // (the bulk of A/B tile traffic) skip the dependence probe.
-    std::vector<u64> stored_line_min_;
-    std::vector<u64> stored_line_max_;
-
-    // Per-lane statistics; kind counts flattened lane-major with a
-    // stride of 8 (the UopKind space).
-    std::vector<u64> ops_;
-    std::vector<Cycles> last_retire_;
-    std::vector<u64> kind_counts_;
-    std::vector<u64> engine_instructions_;
-    std::vector<Cycles> engine_last_finish_;
-    std::vector<u64> effectual_macs_;
-
-    std::vector<LaneSink> sinks_;
+    // Per-strip scratch written by prepareStrip, read by every lane.
+    std::vector<Cycles> probe_;
+    std::vector<u32> alias_;
+    bool aliased_ = false;
 };
 
 } // namespace vegeta::cpu

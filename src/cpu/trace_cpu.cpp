@@ -11,10 +11,7 @@ TraceCpu::TraceCpu(CoreConfig core, engine::EngineConfig engine)
 SimResult
 TraceCpu::run(const Trace &trace)
 {
-    reset();
-    for (const TraceOp &op : trace)
-        step(op);
-    return finish();
+    return lanes_.run(trace).front();
 }
 
 } // namespace vegeta::cpu

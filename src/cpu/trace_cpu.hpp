@@ -18,12 +18,11 @@
  * The replayer is a streaming consumer: feed ops one at a time with
  * step() (or as a TraceSink via emit()) and collect statistics with
  * finish().  The scheduler itself lives in cpu::LaneReplayer
- * (lane_replayer.hpp), the struct-of-arrays core that replays K
- * independent traces in interleaved lanes; TraceCpu is its one-lane
- * facade, so single-stream and lane-batched replay share every line
- * of scheduling code and cannot drift apart (CoreConfig and SimResult
- * are defined alongside the core).  Nothing on the per-op path
- * allocates.
+ * (lane_replayer.hpp), the core that replays one shared uop stream
+ * under K configurations; TraceCpu is its one-lane facade, so
+ * single-stream and shared-stream replay share every line of
+ * scheduling code and cannot drift apart (CoreConfig and SimResult
+ * are defined alongside the core).
  */
 
 #ifndef VEGETA_CPU_TRACE_CPU_HPP
@@ -46,21 +45,21 @@ class TraceCpu final : public TraceSink
     void
     reset()
     {
-        lanes_.resetLane(0);
+        lanes_.reset();
     }
 
     /** Schedule the next op of the stream. */
     void
     step(const TraceOp &op)
     {
-        lanes_.step(0, op);
+        lanes_.step(op);
     }
 
     /** TraceSink: kernels emit uops straight into the scheduler. */
     void
     emit(const TraceOp &op) override
     {
-        lanes_.step(0, op);
+        lanes_.step(op);
     }
 
     /**
@@ -70,7 +69,7 @@ class TraceCpu final : public TraceSink
     SimResult
     finish()
     {
-        return lanes_.finishLane(0);
+        return lanes_.finish().front();
     }
 
     /** Batch convenience: reset, step every op, finish. */

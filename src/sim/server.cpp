@@ -525,17 +525,19 @@ SimServer::Impl::acceptLoop()
             continue;
         auto conn = std::make_shared<ClientConn>();
         conn->fd = client;
-        {
-            std::lock_guard<std::mutex> lock(mutex);
-            if (stopping) {
-                ::close(client);
-                return;
-            }
-            ++statsData.connections;
-            conns.push_back(conn);
+        std::lock_guard<std::mutex> lock(mutex);
+        if (stopping) {
+            ::close(client);
+            return;
         }
+        ++statsData.connections;
+        // Start the reader before publishing the connection, under
+        // the same lock the dispatcher joins readers under: a reaper
+        // must never see a half-built conn (an unassigned thread
+        // handle, or one assigned concurrently with its join).
         conn->reader =
             std::thread([this, conn]() { readerLoop(conn); });
+        conns.push_back(conn);
     }
 }
 

@@ -1,5 +1,8 @@
 #include "sim/session.hpp"
 
+#include <algorithm>
+#include <array>
+#include <map>
 #include <thread>
 #include <unordered_map>
 
@@ -12,8 +15,62 @@ namespace vegeta::sim {
 
 namespace {
 
-// Cache-probe outcome counters, shared by run() and runSimPack() so
-// the two probe sequences report identically.
+/** The kernel options Session hands the generator for @p request. */
+kernels::KernelOptions
+kernelOptions(const SimulationRequest &request)
+{
+    kernels::KernelOptions opts;
+    opts.optimized = request.kernel == KernelVariant::Optimized;
+    opts.cBlocking = request.cBlocking;
+    opts.traceOnly = true;
+    return opts;
+}
+
+/**
+ * What makes two simulation jobs replay one uop stream: the padded
+ * GEMM the generator tiles, the executed N, the kernel variant and
+ * blocking, and the L1 the shared probe strip runs on.  Every other
+ * core and engine field (output forwarding included) is lane timing
+ * state.
+ */
+using StreamKey = std::array<u64, 11>;
+
+StreamKey
+streamKey(const SimulationRequest &request, u32 executed_n)
+{
+    const kernels::GemmDims padded =
+        kernels::padProblem(request.gemm, executed_n);
+    const cpu::CacheConfig &cache = request.core.cache;
+    return {padded.m,
+            padded.n,
+            padded.k,
+            executed_n,
+            request.kernel == KernelVariant::Optimized,
+            request.cBlocking,
+            cache.lineBytes,
+            cache.l1Sets,
+            cache.l1Ways,
+            cache.l1Latency,
+            cache.l2Latency};
+}
+
+/** Padded tile count of a stream: its replay cost per lane. */
+u64
+streamTiles(const StreamKey &key)
+{
+    const u64 tk = kernels::kTileForN(static_cast<u32>(key[3]));
+    return (key[0] / 16) * (key[1] / 16) * (key[2] / tk);
+}
+
+/** One runBatch work unit: an analysis job or a stream group. */
+struct Task
+{
+    std::vector<std::size_t> jobs; ///< lanes, in batch order
+    u64 cost = 0;
+    bool analysis = false;
+};
+
+// Cache-probe outcome counters, shared by every probe site.
 void
 countMemoryHit()
 {
@@ -108,23 +165,8 @@ Session::run(const SimulationRequest &request,
     // pass -- a cache hit has no trace to hand back -- but their
     // result still warms the caches for later trace-less runs.
     if (!trace_out) {
-        if (cache_) {
-            if (auto hit = cache_->find(key)) {
-                countMemoryHit();
-                return *hit;
-            }
-        }
-        if (disk_cache_) {
-            if (auto hit = disk_cache_->find(key)) {
-                // Promote: later repeats hit memory, not the disk
-                // map.
-                countDiskHit();
-                if (cache_)
-                    cache_->insert(key, *hit);
-                return *hit;
-            }
-        }
-        countMiss();
+        if (auto hit = probeCaches(key))
+            return *hit;
     }
     const SimulationResult result = runUncached(request, trace_out);
     if (cache_)
@@ -132,6 +174,28 @@ Session::run(const SimulationRequest &request,
     if (disk_cache_)
         disk_cache_->insert(key, result);
     return result;
+}
+
+std::optional<SimulationResult>
+Session::probeCaches(const std::string &key) const
+{
+    if (cache_) {
+        if (auto hit = cache_->find(key)) {
+            countMemoryHit();
+            return hit;
+        }
+    }
+    if (disk_cache_) {
+        if (auto hit = disk_cache_->find(key)) {
+            // Promote: later repeats hit memory, not the disk map.
+            countDiskHit();
+            if (cache_)
+                cache_->insert(key, *hit);
+            return hit;
+        }
+    }
+    countMiss();
+    return std::nullopt;
 }
 
 SimulationResult
@@ -147,10 +211,7 @@ Session::runUncached(const SimulationRequest &request,
     telemetry::add(sims_id, 1);
 
     const u32 executed_n = engine->effectiveN(request.patternN);
-    kernels::KernelOptions opts;
-    opts.optimized = request.kernel == KernelVariant::Optimized;
-    opts.cBlocking = request.cBlocking;
-    opts.traceOnly = true;
+    const kernels::KernelOptions opts = kernelOptions(request);
 
     if (trace_out) {
         // The caller wants the trace itself (to save or replay), so
@@ -265,9 +326,9 @@ Session::jobError(const Job &job) const
 JobResult
 Session::run(const Job &job) const
 {
-    // One "session.job" span per job materialized here; runSimPack
-    // emits the same span for pack members, so a trace's span count
-    // equals the batch's unique job count.
+    // One "session.job" span per job materialized here; runBatch
+    // emits the same span while probing its simulation jobs, so a
+    // trace's span count equals the batch's unique job count.
     telemetry::Span span("session.job");
     JobResult result;
     result.kind = job.kind;
@@ -278,162 +339,62 @@ Session::run(const Job &job) const
     return result;
 }
 
-u32
-Session::defaultLaneWidth()
-{
-    // Chosen from the committed BENCH_replay trajectory's lane_replay
-    // rows: on the benchmarking host, lane-interleaved replay runs at
-    // 0.75-0.9x of back-to-back single-stream replays for every
-    // measured K (the workload's dependence chains are short enough
-    // that the host pipeline is already full with one stream), so
-    // batches default to plain single-stream execution.  The knob
-    // pays on hosts where a single stream leaves the out-of-order
-    // window idle; raise it (--lanes / laneWidth) after measuring
-    // bench_replay_throughput's lane_replay rows on the target.
-    return 1;
-}
-
 void
-Session::runSimPack(const std::vector<Job> &jobs,
-                    const std::vector<std::size_t> &pack,
-                    std::vector<JobResult> &results) const
+Session::runStream(const std::vector<Job> &jobs,
+                   const std::vector<std::size_t> &lanes,
+                   const std::vector<std::string> &keys,
+                   std::vector<JobResult> &results) const
 {
-    // One miss's materialized trace in flight per lane; sub-packs
-    // flush at this many buffered uops (~192 MB at 48 B/op) so a pack
-    // of huge traces cannot hold the whole batch in memory at once.
-    static constexpr u64 kPackUopBudget = u64{4} * 1024 * 1024;
+    // Per group only, never per uop.
+    static const telemetry::MetricId groups_id =
+        telemetry::counterId("session.stream.groups");
+    static const telemetry::MetricId lanes_id =
+        telemetry::counterId("session.stream.lanes");
+    static const telemetry::MetricId sims_id =
+        telemetry::counterId("session.simulations");
+    telemetry::Span span("session.stream", lanes.size());
+    telemetry::add(groups_id, 1);
+    telemetry::add(lanes_id, lanes.size());
 
-    struct Miss
-    {
-        std::size_t index = 0;
-        std::string key;
-        engine::EngineConfig engine;
-        u32 executedN = 0;
-        u64 tileComputes = 0;
-        cpu::Trace trace;
-    };
-
-    // Cache probes first, exactly as run() would consult them; only
-    // the misses replay.
-    std::vector<std::size_t> missing;
-    for (const std::size_t i : pack) {
-        telemetry::Span span("session.job");
-        results[i].kind = JobKind::Simulation;
-        if (!cache_ && !disk_cache_) {
-            missing.push_back(i);
-            continue;
-        }
-        const std::string key = cacheKey(jobs[i].simulation);
-        if (cache_) {
-            if (auto hit = cache_->find(key)) {
-                countMemoryHit();
-                results[i].simulation = *hit;
-                continue;
-            }
-        }
-        if (disk_cache_) {
-            if (auto hit = disk_cache_->find(key)) {
-                countDiskHit();
-                if (cache_)
-                    cache_->insert(key, *hit);
-                results[i].simulation = *hit;
-                continue;
-            }
-        }
-        countMiss();
-        missing.push_back(i);
-    }
-    if (missing.empty())
-        return;
-
-    auto publish = [&](const std::size_t i, const std::string &key,
-                       SimulationResult result) {
-        if (cache_)
-            cache_->insert(key, result);
-        if (disk_cache_)
-            disk_cache_->insert(key, result);
-        results[i].simulation = std::move(result);
-    };
-
-    if (missing.size() == 1) {
-        // A lone miss keeps the streaming path: the kernel emits uops
-        // straight into the scheduler, no trace is materialized.
-        const std::size_t i = missing[0];
-        publish(i, cacheKey(jobs[i].simulation),
-                runUncached(jobs[i].simulation, nullptr));
-        return;
-    }
-
-    // Lane-batched replay: materialize each miss's trace, then replay
-    // the sub-pack on one struct-of-arrays LaneReplayer.  Lanes share
-    // no state, so each lane's result is bit-identical to the
-    // streaming single-stream run (the golden equivalence tests pin
-    // this per K).
-    std::vector<Miss> lanes;
-    u64 buffered_uops = 0;
-    auto flush = [&]() {
-        if (lanes.empty())
-            return;
-        telemetry::Span span("session.pack.replay", lanes.size());
-        std::vector<cpu::LaneReplayer::LaneSpec> specs;
-        std::vector<const cpu::Trace *> traces;
-        specs.reserve(lanes.size());
-        traces.reserve(lanes.size());
-        for (const Miss &miss : lanes) {
-            specs.push_back(
-                {coreFor(jobs[miss.index].simulation, miss.engine),
-                 miss.engine});
-            traces.push_back(&miss.trace);
-        }
-        cpu::LaneReplayer replayer(specs);
-        const auto sims = replayer.replay(traces);
-        for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
-            Miss &miss = lanes[lane];
-            const SimulationRequest &request =
-                jobs[miss.index].simulation;
-            simulations_.fetch_add(1, std::memory_order_relaxed);
-            publish(miss.index, miss.key,
-                    fromSimResult(sims[lane], miss.engine, request,
-                                  kernelVariantName(request.kernel),
-                                  miss.executedN, miss.tileComputes));
-        }
-        lanes.clear();
-        buffered_uops = 0;
-    };
-
-    telemetry::Span assemble_span("session.pack.assemble",
-                                  missing.size());
-    for (const std::size_t i : missing) {
-        if (!lanes.empty() && buffered_uops >= kPackUopBudget)
-            flush();
+    std::vector<cpu::LaneReplayer::LaneSpec> specs;
+    specs.reserve(lanes.size());
+    for (const std::size_t i : lanes) {
         const SimulationRequest &request = jobs[i].simulation;
         const auto engine = engines_.find(request.engine);
         VEGETA_ASSERT(engine.has_value(), "unregistered engine ",
                       request.engine);
-        Miss miss;
-        miss.index = i;
-        miss.key = (cache_ || disk_cache_)
-                       ? cacheKey(request)
-                       : std::string();
-        miss.engine = *engine;
-        miss.executedN = engine->effectiveN(request.patternN);
-        kernels::KernelOptions opts;
-        opts.optimized = request.kernel == KernelVariant::Optimized;
-        opts.cBlocking = request.cBlocking;
-        opts.traceOnly = true;
-        kernels::KernelRun kernel_run = kernels::runSpmmKernel(
-            request.gemm, miss.executedN, opts);
-        miss.tileComputes = kernel_run.tileComputes;
-        miss.trace = std::move(kernel_run.trace);
-        buffered_uops += miss.trace.size();
-        lanes.push_back(std::move(miss));
+        specs.push_back({coreFor(request, *engine), *engine});
     }
-    flush();
+
+    // Every lane shares the stream key, so the lead's GEMM, executed
+    // N and kernel options generate every lane's uop stream.
+    const SimulationRequest &lead = jobs[lanes.front()].simulation;
+    const u32 executed_n = specs.front().engine.effectiveN(
+        lead.patternN);
+    cpu::LaneReplayer replayer(specs);
+    const kernels::KernelStats stats = kernels::streamSpmmKernel(
+        lead.gemm, executed_n, kernelOptions(lead), replayer.sink());
+    const std::vector<cpu::SimResult> sims = replayer.finish();
+
+    simulations_.fetch_add(lanes.size(), std::memory_order_relaxed);
+    telemetry::add(sims_id, lanes.size());
+    for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
+        const std::size_t i = lanes[lane];
+        const SimulationRequest &request = jobs[i].simulation;
+        SimulationResult result = fromSimResult(
+            sims[lane], specs[lane].engine, request,
+            kernelVariantName(request.kernel), executed_n,
+            stats.tileComputes);
+        if (cache_)
+            cache_->insert(keys[i], result);
+        if (disk_cache_)
+            disk_cache_->insert(keys[i], result);
+        results[i].simulation = std::move(result);
+    }
 }
 
 std::vector<JobResult>
-Session::runBatch(const std::vector<Job> &jobs, u32 threads,
-                  u32 lane_width) const
+Session::runBatch(const std::vector<Job> &jobs, u32 threads) const
 {
     std::vector<JobResult> results(jobs.size());
     if (jobs.empty())
@@ -455,8 +416,6 @@ Session::runBatch(const std::vector<Job> &jobs, u32 threads,
         const unsigned hw = std::thread::hardware_concurrency();
         threads = hw == 0 ? 1 : static_cast<u32>(hw);
     }
-    if (lane_width == 0)
-        lane_width = defaultLaneWidth();
 
     // Batch-level dedupe before dispatch: jobs with equal canonical
     // keys are guaranteed to produce bit-identical results, so only
@@ -465,6 +424,9 @@ Session::runBatch(const std::vector<Job> &jobs, u32 threads,
     // any thread count, caches on or off.
     std::vector<std::size_t> unique;
     std::vector<std::size_t> source(jobs.size());
+    std::vector<Task> tasks;
+    // Cache keys of the simulation misses, published after replay.
+    std::vector<std::string> keys(jobs.size());
     {
         telemetry::Span plan_span("session.batch.plan", jobs.size());
         std::unordered_map<std::string, std::size_t> first;
@@ -476,50 +438,98 @@ Session::runBatch(const std::vector<Job> &jobs, u32 threads,
             if (inserted)
                 unique.push_back(i);
         }
+
+        // Analysis jobs run alone; simulation jobs probe the caches
+        // here (one "session.job" span each, so a trace's span count
+        // equals the batch's unique job count) and the misses group
+        // by the uop stream they replay.
+        std::map<StreamKey, std::size_t> group_of;
+        std::vector<std::vector<std::size_t>> groups;
+        std::vector<u64> group_tiles;
+        for (const std::size_t i : unique) {
+            if (jobs[i].kind == JobKind::Analysis) {
+                tasks.push_back({{i}, 0, true});
+                continue;
+            }
+            telemetry::Span span("session.job");
+            results[i].kind = JobKind::Simulation;
+            const SimulationRequest &request = jobs[i].simulation;
+            if (cache_ || disk_cache_) {
+                keys[i] = cacheKey(request);
+                if (auto hit = probeCaches(keys[i])) {
+                    results[i].simulation = std::move(*hit);
+                    continue;
+                }
+            }
+            const auto engine = engines_.find(request.engine);
+            VEGETA_ASSERT(engine.has_value(), "unregistered engine ",
+                          request.engine);
+            const StreamKey key = streamKey(
+                request, engine->effectiveN(request.patternN));
+            const auto [it, inserted] =
+                group_of.emplace(key, groups.size());
+            if (inserted) {
+                groups.emplace_back();
+                group_tiles.push_back(streamTiles(key));
+            }
+            groups[it->second].push_back(i);
+        }
+
+        // A group costs one emission and cache probe plus one
+        // timing replay per lane, each proportional to the stream's
+        // padded tile count.  A group splits into near-equal lane
+        // chunks (at most one per thread) only while a chunk would
+        // exceed a thread's fair share of the batch, so grouping
+        // never costs parallelism.
+        u64 total = 0;
+        for (std::size_t g = 0; g < groups.size(); ++g)
+            total += group_tiles[g] * (1 + groups[g].size());
+        const u64 share = total / threads;
+        for (std::size_t g = 0; g < groups.size(); ++g) {
+            const std::vector<std::size_t> &members = groups[g];
+            const u64 tiles = group_tiles[g];
+            const std::size_t n = members.size();
+            const std::size_t max_parts =
+                std::min<std::size_t>(n, threads);
+            std::size_t parts = 1;
+            while (parts < max_parts &&
+                   tiles * (1 + (n + parts - 1) / parts) > share)
+                ++parts;
+            for (std::size_t p = 0; p < parts; ++p) {
+                Task chunk;
+                chunk.jobs.assign(
+                    members.begin() +
+                        static_cast<std::ptrdiff_t>(n * p / parts),
+                    members.begin() +
+                        static_cast<std::ptrdiff_t>(n * (p + 1) /
+                                                    parts));
+                chunk.cost = tiles * (1 + chunk.jobs.size());
+                tasks.push_back(std::move(chunk));
+            }
+        }
+        // Largest first (analysis jobs keep the front in batch
+        // order): the long streams start while short ones fill in
+        // behind them.
+        std::stable_sort(tasks.begin(), tasks.end(),
+                         [](const Task &a, const Task &b) {
+                             if (a.analysis != b.analysis)
+                                 return a.analysis;
+                             return a.cost > b.cost;
+                         });
     }
     telemetry::add(unique_id, unique.size());
 
-    // The work units: every unique job on its own at lane_width 1;
-    // otherwise unique simulation jobs chunk into packs of up to
-    // lane_width (in batch order), each replayed lane-batched, while
-    // analysis jobs stay singleton tasks.
-    std::vector<std::vector<std::size_t>> tasks;
-    if (lane_width <= 1) {
-        tasks.reserve(unique.size());
-        for (const std::size_t i : unique)
-            tasks.push_back({i});
-    } else {
-        std::vector<std::size_t> sims;
-        for (const std::size_t i : unique) {
-            if (jobs[i].kind == JobKind::Analysis) {
-                tasks.push_back({i});
-                continue;
-            }
-            sims.push_back(i);
-            if (sims.size() >= lane_width) {
-                tasks.push_back(std::move(sims));
-                sims.clear();
-            }
-        }
-        if (!sims.empty())
-            tasks.push_back(std::move(sims));
-    }
-
-    auto runTask = [&](const std::vector<std::size_t> &task) {
-        if (task.size() == 1 && lane_width <= 1) {
-            results[task[0]] = run(jobs[task[0]]);
-        } else if (task.size() == 1 &&
-                   jobs[task[0]].kind == JobKind::Analysis) {
-            results[task[0]] = run(jobs[task[0]]);
-        } else {
-            runSimPack(jobs, task, results);
-        }
+    auto runTask = [&](const Task &task) {
+        if (task.analysis)
+            results[task.jobs[0]] = run(jobs[task.jobs[0]]);
+        else
+            runStream(jobs, task.jobs, keys, results);
     };
 
     const u32 workers =
         std::min<u32>(threads, static_cast<u32>(tasks.size()));
     if (workers <= 1) {
-        for (const auto &task : tasks)
+        for (const Task &task : tasks)
             runTask(task);
     } else {
         // Work-stealing by atomic index: each worker claims the next
@@ -559,13 +569,13 @@ Session::runBatchPooled(const std::vector<Job> &jobs,
 
 std::vector<SimulationResult>
 Session::runBatch(const std::vector<SimulationRequest> &requests,
-                  u32 threads, u32 lane_width) const
+                  u32 threads) const
 {
     std::vector<Job> jobs;
     jobs.reserve(requests.size());
     for (const auto &request : requests)
         jobs.push_back(Job::simulate(request));
-    auto job_results = runBatch(jobs, threads, lane_width);
+    auto job_results = runBatch(jobs, threads);
     std::vector<SimulationResult> results;
     results.reserve(job_results.size());
     for (auto &r : job_results)

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "cpu/cache.hpp"
 
 namespace vegeta::cpu {
@@ -87,6 +89,35 @@ TEST(Cache, WorkingSetLargerThanL1Thrashes)
     // Sequential sweep over 2x capacity with LRU never hits.
     EXPECT_EQ(cache.hits(), 0u);
     EXPECT_EQ(cache.misses(), 2ull * lines);
+}
+
+TEST(Cache, ProbeSpanMatchesAccessLineForEveryAssociativity)
+{
+    // probeSpan's way-specialized loops (4/8/12/16) and its generic
+    // fallback must evolve the bank exactly like repeated accessLine
+    // calls: same latencies, same hit/miss counts, same later state.
+    for (const u32 ways : {2u, 4u, 8u, 12u, 16u}) {
+        SCOPED_TRACE("ways " + std::to_string(ways));
+        CacheConfig cfg;
+        cfg.l1Sets = 4;
+        cfg.l1Ways = ways;
+        CacheModel spans(cfg);
+        CacheModel lines(cfg);
+        u64 seed = 12345;
+        for (u32 round = 0; round < 200; ++round) {
+            seed = seed * 6364136223846793005ull +
+                   1442695040888963407ull;
+            const Addr base = (seed >> 33) % 4096 * 16;
+            const u64 count = 1 + (seed >> 20) % 9;
+            Cycles got[9];
+            spans.probeSpan(base, 64, count, got);
+            for (u64 i = 0; i < count; ++i)
+                EXPECT_EQ(got[i], lines.accessLine(base + i * 64));
+        }
+        EXPECT_EQ(spans.hits(), lines.hits());
+        EXPECT_EQ(spans.misses(), lines.misses());
+        EXPECT_GT(spans.hits(), 0u);
+    }
 }
 
 } // namespace

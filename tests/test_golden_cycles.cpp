@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include "cpu/lane_replayer.hpp"
+#include "kernels/gemm_kernels.hpp"
 #include "sim/session.hpp"
 #include "sim/simulator.hpp"
 #include "sim/telemetry.hpp"
@@ -160,48 +162,58 @@ TEST(GoldenCycles, BatchReplayMatchesStreamingRun)
     EXPECT_EQ(streamed.macUtilization, replayed.macUtilization);
 }
 
-TEST(GoldenCycles, LanePackedBatchIsBitIdenticalForEveryWidth)
+std::vector<SimulationRequest>
+goldenRequests()
 {
-    // The whole golden matrix through Session::runBatch's lane packs:
-    // every lane width must reproduce the pinned pre-refactor values
-    // bit for bit, macUtilization included.  This is the end-to-end
-    // pin of the LaneReplayer bit-exactness contract.
     std::vector<SimulationRequest> requests;
     requests.reserve(std::size(kGolden));
-    {
-        const Session session;
-        for (const GoldenPoint &g : kGolden) {
-            auto request = session.request()
-                               .gemm(g.dims)
-                               .engine(g.engine)
-                               .pattern(g.patternN)
-                               .outputForwarding(g.outputForwarding)
-                               .build();
-            ASSERT_TRUE(request.has_value());
-            requests.push_back(*request);
-        }
+    const Session session;
+    for (const GoldenPoint &g : kGolden) {
+        auto request = session.request()
+                           .gemm(g.dims)
+                           .engine(g.engine)
+                           .pattern(g.patternN)
+                           .outputForwarding(g.outputForwarding)
+                           .build();
+        EXPECT_TRUE(request.has_value());
+        requests.push_back(*request);
     }
-    for (const u32 lanes : {1u, 2u, 4u, 8u}) {
-        SCOPED_TRACE("lane width " + std::to_string(lanes));
-        // A fresh session per width: the in-memory result cache would
-        // otherwise satisfy every later width without replaying.
+    return requests;
+}
+
+void
+expectGolden(const GoldenPoint &g, const SimulationResult &result)
+{
+    SCOPED_TRACE(std::string(g.engine) + " / " + g.workload +
+                 " N=" + std::to_string(g.patternN) +
+                 (g.outputForwarding ? " +OF" : ""));
+    EXPECT_EQ(result.coreCycles, g.coreCycles);
+    EXPECT_EQ(result.instructions, g.instructions);
+    EXPECT_EQ(result.engineInstructions, g.engineInstructions);
+    EXPECT_EQ(result.cacheHits, g.cacheHits);
+    EXPECT_EQ(result.cacheMisses, g.cacheMisses);
+    EXPECT_EQ(result.macUtilization, g.macUtilization)
+        << "macUtilization must match bit for bit";
+}
+
+TEST(GoldenCycles, GroupedBatchIsBitIdenticalForEveryThreadCount)
+{
+    // The whole golden matrix through Session::runBatch's stream
+    // groups: every thread count (8 forces group splits on this
+    // small batch) must reproduce the pinned pre-refactor values bit
+    // for bit, macUtilization included.  This is the end-to-end pin
+    // of the shared-stream bit-exactness contract.
+    const auto requests = goldenRequests();
+    for (const u32 threads : {1u, 2u, 3u, 8u}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        // A fresh session per count: the in-memory result cache
+        // would otherwise satisfy every later count without
+        // replaying.
         const Session session;
-        const auto results = session.runBatch(requests, 1, lanes);
+        const auto results = session.runBatch(requests, threads);
         ASSERT_EQ(results.size(), std::size(kGolden));
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            const GoldenPoint &g = kGolden[i];
-            SCOPED_TRACE(std::string(g.engine) + " / " + g.workload +
-                         " N=" + std::to_string(g.patternN) +
-                         (g.outputForwarding ? " +OF" : ""));
-            EXPECT_EQ(results[i].coreCycles, g.coreCycles);
-            EXPECT_EQ(results[i].instructions, g.instructions);
-            EXPECT_EQ(results[i].engineInstructions,
-                      g.engineInstructions);
-            EXPECT_EQ(results[i].cacheHits, g.cacheHits);
-            EXPECT_EQ(results[i].cacheMisses, g.cacheMisses);
-            EXPECT_EQ(results[i].macUtilization, g.macUtilization)
-                << "macUtilization must match bit for bit";
-        }
+        for (std::size_t i = 0; i < results.size(); ++i)
+            expectGolden(kGolden[i], results[i]);
     }
 }
 
@@ -211,69 +223,82 @@ TEST(GoldenCycles, MatrixIsBitIdenticalWithTracingEnabled)
     // (the --trace-out path), the batched golden matrix must still
     // match every pinned value bit for bit, and the run must actually
     // have recorded spans.
+    const auto requests = goldenRequests();
     telemetry::setTraceEnabled(true);
     telemetry::clearTrace();
-    std::vector<SimulationRequest> requests;
     const Session session;
-    for (const GoldenPoint &g : kGolden) {
-        auto request = session.request()
-                           .gemm(g.dims)
-                           .engine(g.engine)
-                           .pattern(g.patternN)
-                           .outputForwarding(g.outputForwarding)
-                           .build();
-        ASSERT_TRUE(request.has_value());
-        requests.push_back(*request);
-    }
-    const auto results = session.runBatch(requests, 2, 4);
+    const auto results = session.runBatch(requests, 2);
     telemetry::setTraceEnabled(false);
     ASSERT_EQ(results.size(), std::size(kGolden));
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const GoldenPoint &g = kGolden[i];
-        SCOPED_TRACE(std::string(g.engine) + " / " + g.workload +
-                     " N=" + std::to_string(g.patternN) +
-                     (g.outputForwarding ? " +OF" : ""));
-        EXPECT_EQ(results[i].coreCycles, g.coreCycles);
-        EXPECT_EQ(results[i].instructions, g.instructions);
-        EXPECT_EQ(results[i].cacheHits, g.cacheHits);
-        EXPECT_EQ(results[i].cacheMisses, g.cacheMisses);
-        EXPECT_EQ(results[i].macUtilization, g.macUtilization)
-            << "macUtilization must match bit for bit";
-    }
+    for (std::size_t i = 0; i < results.size(); ++i)
+        expectGolden(kGolden[i], results[i]);
 #ifndef VEGETA_NO_TELEMETRY
     EXPECT_GT(telemetry::traceSpanCount("session.batch.plan"), 0u)
         << "an armed golden batch must record its planning span";
-    EXPECT_GT(telemetry::traceSpanCount("lane.replay"), 0u)
-        << "an armed lane-packed batch must record replay spans";
+    EXPECT_GT(telemetry::traceSpanCount("session.stream"), 0u)
+        << "an armed grouped batch must record stream spans";
 #endif
     telemetry::clearTrace();
 }
 
-TEST(GoldenCycles, LanePacksAreThreadCountIndependent)
+TEST(GoldenCycles, SharedStreamLanesMatchPinnedValues)
 {
-    // Lane packs and worker threads compose: any (threads, lanes)
-    // combination is bit-identical to the serial single-stream batch.
-    std::vector<SimulationRequest> requests;
-    const Session builder;
+    // The replayer itself, below the Session: every golden point that
+    // replays one uop stream (same GEMM and executed N) rides as a
+    // lane of one LaneReplayer fed by a single kernel emission, and
+    // each lane must land on its pinned values.
+    const EngineRegistry engines = EngineRegistry::builtin();
+    struct Group
+    {
+        const GoldenPoint *first = nullptr;
+        u32 executedN = 0;
+        std::vector<const GoldenPoint *> points;
+        std::vector<cpu::LaneReplayer::LaneSpec> specs;
+    };
+    std::vector<Group> groups;
     for (const GoldenPoint &g : kGolden) {
-        auto request = builder.request()
-                           .gemm(g.dims)
-                           .engine(g.engine)
-                           .pattern(g.patternN)
-                           .outputForwarding(g.outputForwarding)
-                           .build();
-        ASSERT_TRUE(request.has_value());
-        requests.push_back(*request);
+        const auto engine = engines.find(g.engine);
+        ASSERT_TRUE(engine.has_value());
+        const u32 executed_n = engine->effectiveN(g.patternN);
+        cpu::CoreConfig core;
+        core.outputForwarding = g.outputForwarding && engine->sparse;
+        Group *group = nullptr;
+        for (Group &candidate : groups)
+            if (candidate.first->dims.m == g.dims.m &&
+                candidate.first->dims.n == g.dims.n &&
+                candidate.first->dims.k == g.dims.k &&
+                candidate.executedN == executed_n)
+                group = &candidate;
+        if (!group) {
+            groups.push_back({&g, executed_n, {}, {}});
+            group = &groups.back();
+        }
+        group->points.push_back(&g);
+        group->specs.push_back({core, *engine});
     }
-    const auto baseline = Session{}.runBatch(requests, 1, 1);
-    const auto packed = Session{}.runBatch(requests, 3, 4);
-    ASSERT_EQ(packed.size(), baseline.size());
-    for (std::size_t i = 0; i < baseline.size(); ++i) {
-        EXPECT_EQ(packed[i].coreCycles, baseline[i].coreCycles);
-        EXPECT_EQ(packed[i].macUtilization,
-                  baseline[i].macUtilization);
-        EXPECT_EQ(packed[i].cacheHits, baseline[i].cacheHits);
-        EXPECT_EQ(packed[i].cacheMisses, baseline[i].cacheMisses);
+    ASSERT_LT(groups.size(), std::size(kGolden))
+        << "the matrix must exercise multi-lane streams";
+
+    kernels::KernelOptions opts;
+    opts.traceOnly = true;
+    for (const Group &group : groups) {
+        SCOPED_TRACE("K=" + std::to_string(group.specs.size()));
+        cpu::LaneReplayer replayer(group.specs);
+        kernels::streamSpmmKernel(group.first->dims, group.executedN,
+                                  opts, replayer.sink());
+        const auto sims = replayer.finish();
+        ASSERT_EQ(sims.size(), group.points.size());
+        for (std::size_t lane = 0; lane < sims.size(); ++lane) {
+            const GoldenPoint &g = *group.points[lane];
+            SimulationResult result;
+            result.coreCycles = sims[lane].totalCycles;
+            result.instructions = sims[lane].retiredOps;
+            result.engineInstructions = sims[lane].engineInstructions;
+            result.cacheHits = sims[lane].cacheHits;
+            result.cacheMisses = sims[lane].cacheMisses;
+            result.macUtilization = sims[lane].macUtilization;
+            expectGolden(g, result);
+        }
     }
 }
 

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -344,6 +345,67 @@ TEST(Service, ConcurrentClientsAllGetIdenticalResults)
     ASSERT_TRUE(run.has_value()) << error;
     expectIdenticalBatches(run->results, expected);
     EXPECT_EQ(run->simulationsPerformed, 0u);
+}
+
+TEST(Service, ConnectionChurnDuringBatchesIsSafe)
+{
+    // Clients that connect and vanish -- some mid-handshake -- while
+    // another client's batches are in flight.  Each reader starts
+    // before its connection is published, under the lock the
+    // dispatcher reaps dead connections under, so the reaper never
+    // joins a thread handle the acceptor is still assigning; the
+    // in-flight batches keep their bytes and the daemon stays up.
+    ServerFixture fixture("churn");
+    const auto jobs = mixedBatch();
+    Session local;
+    local.enableCache();
+    const auto expected = local.runBatch(jobs, 2);
+
+    std::atomic<bool> done{false};
+    std::string batch_error;
+    std::thread batches([&]() {
+        auto client = fixture.client();
+        std::string error;
+        if (client.connect(&error)) {
+            for (int i = 0; i < 20 && batch_error.empty(); ++i) {
+                const auto run = client.runBatch(jobs, &error);
+                if (!run)
+                    batch_error = error;
+                else if (run->results.size() != expected.size())
+                    batch_error = "result size mismatch";
+            }
+        } else {
+            batch_error = error;
+        }
+        done = true;
+    });
+
+    int churned = 0;
+    for (; churned < 64 || (!done && churned < 4096); ++churned) {
+        const int fd = socket(AF_UNIX, SOCK_STREAM, 0);
+        ASSERT_GE(fd, 0);
+        sockaddr_un addr{};
+        addr.sun_family = AF_UNIX;
+        std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s",
+                      fixture.options.socketPath.c_str());
+        if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                      sizeof(addr)) == 0 &&
+            churned % 3 == 0) {
+            std::string ignored;
+            wire::writeFrame(fd, wire::FrameType::Hello,
+                             "vegeta-wire", &ignored);
+        }
+        ::close(fd);
+    }
+    batches.join();
+    EXPECT_EQ(batch_error, "");
+
+    auto client = fixture.client();
+    std::string error;
+    ASSERT_TRUE(client.connect(&error)) << error;
+    const auto run = client.runBatch(jobs, &error);
+    ASSERT_TRUE(run.has_value()) << error;
+    expectIdenticalBatches(run->results, expected);
 }
 
 TEST(Service, StaleSocketFileIsReclaimed)

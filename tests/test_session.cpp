@@ -11,9 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <set>
 
 #include "expect_identical.hpp"
 #include "sim/sweep.hpp"
+#include "sim/telemetry.hpp"
 
 namespace vegeta::sim {
 namespace {
@@ -311,6 +313,201 @@ TEST(Session, RequestOverloadMatchesSweepRunnerShim)
     ASSERT_EQ(direct.size(), shim.size());
     for (std::size_t i = 0; i < direct.size(); ++i)
         expectIdenticalSim(direct[i], shim[i]);
+}
+
+// --- Stream grouping in runBatch -------------------------------------
+
+/** Every job run on its own: the single-stream reference. */
+std::vector<JobResult>
+ungrouped(const std::vector<Job> &jobs)
+{
+    const Session session;
+    std::vector<JobResult> results;
+    results.reserve(jobs.size());
+    for (const Job &job : jobs)
+        results.push_back(session.run(job));
+    return results;
+}
+
+std::vector<Job>
+quickGrid(const Session &session)
+{
+    std::vector<Job> jobs;
+    for (auto &request :
+         figure13Grid(session,
+                      {"quick-small", "quick-square", "quick-deep"},
+                      session.engines().names()))
+        jobs.push_back(Job::simulate(std::move(request)));
+    return jobs;
+}
+
+/** session.stream.groups so far (0 without telemetry). */
+u64
+streamGroups()
+{
+    return telemetry::snapshot().counter("session.stream.groups");
+}
+
+TEST(StreamGrouping, QuickGridIdenticalAtEveryThreadCount)
+{
+    const auto jobs = quickGrid(Session());
+    const auto reference = ungrouped(jobs);
+    for (const u32 threads : {1u, 2u, 3u, 8u}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        expectIdenticalBatches(Session().runBatch(jobs, threads),
+                               reference);
+    }
+}
+
+TEST(StreamGrouping, MixedShareableAndUnshareableBatch)
+{
+    // Lanes that share a stream (engines at one executed N, OF on
+    // and off, GEMMs that pad to the same tiles) next to jobs that
+    // must not: another kernel variant, another C blocking, another
+    // L1 -- plus analysis jobs and duplicates.
+    const Session session;
+    auto jobs = mixedBatch(session);
+    auto sim_job = [&](kernels::GemmDims dims, const char *engine,
+                       u32 pattern) {
+        auto job = session.job()
+                       .gemm(dims)
+                       .engine(engine)
+                       .pattern(pattern)
+                       .build();
+        EXPECT_TRUE(job.has_value());
+        return *job;
+    };
+    for (const char *engine :
+         {"VEGETA-S-16-2", "VEGETA-S-4-2", "STC-like"}) {
+        jobs.push_back(sim_job({64, 64, 256}, engine, 2));
+        jobs.push_back(sim_job({60, 50, 250}, engine, 2)); // same pad
+    }
+    Job naive = sim_job({64, 64, 256}, "VEGETA-S-16-2", 2);
+    naive.simulation.kernel = KernelVariant::Naive;
+    Job blocked = sim_job({64, 64, 256}, "VEGETA-S-16-2", 2);
+    blocked.simulation.cBlocking = 1;
+    Job small_l1 = sim_job({64, 64, 256}, "VEGETA-S-16-2", 2);
+    small_l1.simulation.core.cache.l1Ways = 4;
+    Job narrow = sim_job({64, 64, 256}, "VEGETA-S-4-2", 2);
+    narrow.simulation.core.robEntries = 24;
+    for (const Job &job : {naive, blocked, small_l1, narrow})
+        jobs.push_back(job);
+    jobs.push_back(jobs[jobs.size() - 5]); // a duplicate lane
+    jobs.push_back(naive);                 // a duplicate singleton
+
+    const auto reference = ungrouped(jobs);
+    for (const u32 threads : {1u, 2u, 3u, 8u}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        expectIdenticalBatches(Session().runBatch(jobs, threads),
+                               reference);
+    }
+}
+
+TEST(StreamGrouping, GroupsMixingCacheHitsAndMisses)
+{
+    // Some lanes of each stream hit the disk cache, some the memory
+    // cache, the rest miss: only the misses may replay, and every
+    // slot must still read the single-stream bytes.
+    const Session builder;
+    const auto jobs = quickGrid(builder);
+    const auto reference = ungrouped(jobs);
+    std::vector<Job> on_disk, in_memory;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        if (i % 3 == 0)
+            on_disk.push_back(jobs[i]);
+        else if (i % 3 == 1)
+            in_memory.push_back(jobs[i]);
+    }
+    for (const u32 threads : {1u, 2u, 3u, 8u}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        const std::string dir =
+            freshDir("partial_" + std::to_string(threads));
+        {
+            Session warmer;
+            warmer.attachDiskCache(dir);
+            warmer.runBatch(on_disk, threads);
+        }
+        Session session;
+        session.enableCache();
+        session.attachDiskCache(dir);
+        ASSERT_TRUE(session.diskCache()->ok());
+        session.runBatch(in_memory, threads);
+        const u64 before = session.simulationsPerformed();
+        expectIdenticalBatches(session.runBatch(jobs, threads),
+                               reference);
+        EXPECT_EQ(session.simulationsPerformed() - before,
+                  jobs.size() - on_disk.size() - in_memory.size());
+    }
+}
+
+TEST(StreamGrouping, ThreadsBeyondGroupsSplitTheGroup)
+{
+    // One stream, twelve lanes: at 8 threads a single group would
+    // hold far more than a thread's share, so it splits into one
+    // chunk per thread; at 1 thread it stays whole.
+    const Session session;
+    std::vector<Job> jobs;
+    for (const auto &engine : session.engines().names()) {
+        const auto config = session.engines().find(engine);
+        if (!config->sparse)
+            continue;
+        for (const bool of : {false, true}) {
+            auto job = session.job()
+                           .gemm(kernels::GemmDims{64, 64, 256})
+                           .engine(engine)
+                           .pattern(2)
+                           .outputForwarding(of)
+                           .build();
+            ASSERT_TRUE(job.has_value());
+            jobs.push_back(*job);
+        }
+    }
+    ASSERT_GE(jobs.size(), 8u);
+    const auto reference = ungrouped(jobs);
+
+    u64 before = streamGroups();
+    expectIdenticalBatches(Session().runBatch(jobs, 1), reference);
+    const u64 whole = streamGroups() - before;
+    before = streamGroups();
+    expectIdenticalBatches(Session().runBatch(jobs, 8), reference);
+    const u64 split = streamGroups() - before;
+#ifndef VEGETA_NO_TELEMETRY
+    EXPECT_EQ(whole, 1u);
+    EXPECT_EQ(split, 8u);
+#else
+    (void)whole;
+    (void)split;
+#endif
+}
+
+TEST(StreamGrouping, OneJobSpanPerUniqueJob)
+{
+    // Grouping changes the unit of work, not the span contract: one
+    // "session.job" span per unique job, one "session.stream" span
+    // per group.
+    const Session session;
+    auto jobs = mixedBatch(session);
+    const auto grid = quickGrid(session);
+    jobs.insert(jobs.end(), grid.begin(), grid.end());
+    jobs.insert(jobs.end(), grid.begin(), grid.begin() + 5);
+    std::set<std::string> unique;
+    for (const Job &job : jobs)
+        unique.insert(jobKey(job));
+
+    telemetry::setTraceEnabled(true);
+    telemetry::clearTrace();
+    const u64 before = streamGroups();
+    Session().runBatch(jobs, 3);
+    const u64 groups = streamGroups() - before;
+    telemetry::setTraceEnabled(false);
+#ifndef VEGETA_NO_TELEMETRY
+    EXPECT_EQ(telemetry::traceSpanCount("session.job"), unique.size());
+    EXPECT_EQ(telemetry::traceSpanCount("session.stream"), groups);
+    EXPECT_GT(groups, 0u);
+#else
+    (void)groups;
+#endif
+    telemetry::clearTrace();
 }
 
 TEST(Session, JobErrorChecksBothKinds)

@@ -174,18 +174,33 @@ TEST(StreamingReplay, UnalignedStoreBlocksLoadsOfBothLines)
     EXPECT_GE(dependent.totalCycles, independent.totalCycles);
 }
 
-// ---- LaneReplayer equivalence -------------------------------------
+// ---- Shared-stream LaneReplayer equivalence ----------------------
 //
-// Every test below pins the same contract from a different angle: a
-// lane-batched replay is bit-identical to K sequential single-stream
-// replays, because lanes share no state.
+// Every test below pins the same contract from a different angle: K
+// configurations replaying one shared stream are each bit-identical
+// to a single-stream replay of that stream under their own config,
+// although the cache probes and store index are computed once.
 
-/** The per-lane single-stream reference for a lane-batched run. */
+/** The per-lane single-stream reference for a shared-stream run. */
 SimResult
 singleReference(const LaneReplayer::LaneSpec &spec, const Trace &trace)
 {
     TraceCpu cpu(spec.core, spec.engine);
     return cpu.run(trace);
+}
+
+void
+expectLanesMatchSingle(const std::vector<LaneReplayer::LaneSpec> &specs,
+                       const Trace &trace)
+{
+    LaneReplayer replayer(specs);
+    const auto results = replayer.run(trace);
+    ASSERT_EQ(results.size(), specs.size());
+    for (std::size_t lane = 0; lane < specs.size(); ++lane) {
+        SCOPED_TRACE("lane " + std::to_string(lane));
+        expectIdentical(results[lane],
+                        singleReference(specs[lane], trace));
+    }
 }
 
 TEST(LaneReplay, EveryWidthMatchesSingleStream)
@@ -197,66 +212,24 @@ TEST(LaneReplay, EveryWidthMatchesSingleStream)
 
     for (u32 width : {1u, 2u, 4u, 8u}) {
         SCOPED_TRACE("K=" + std::to_string(width));
-        const std::vector<LaneReplayer::LaneSpec> specs(
-            width, {{}, engine::vegetaS162()});
-        LaneReplayer replayer(specs);
-        const auto results = replayer.replay(
-            std::vector<Trace>(width, kernel.trace));
-        ASSERT_EQ(results.size(), width);
-        const SimResult expected =
-            singleReference(specs[0], kernel.trace);
-        for (u32 lane = 0; lane < width; ++lane) {
-            SCOPED_TRACE("lane " + std::to_string(lane));
-            expectIdentical(results[lane], expected);
-        }
-    }
-}
-
-TEST(LaneReplay, MixedLengthLanesWithEarlyFinishers)
-{
-    // Lane trace lengths differ by more than an order of magnitude;
-    // short lanes drop out of the rotation long before the long ones
-    // finish, and that must not perturb any surviving lane.
-    kernels::KernelOptions opts;
-    opts.traceOnly = true;
-    const std::vector<Trace> traces = {
-        kernels::runSpmmKernel({64, 64, 256}, 2, opts).trace,
-        {TraceOp::alu(), TraceOp::load(0x1000, 64)}, // 2 ops
-        kernels::runSpmmKernel({32, 32, 128}, 4, opts).trace,
-        kernels::runSpmmKernel({32, 32, 128}, 1, opts).trace,
-        {},                                          // empty lane
-        kernels::runSpmmKernel({64, 64, 256}, 1, opts).trace,
-        {TraceOp::vectorFma(1), TraceOp::vectorFma(1)},
-        kernels::runSpmmKernel({32, 64, 128}, 2, opts).trace,
-    };
-    const std::vector<LaneReplayer::LaneSpec> specs(
-        traces.size(), {{}, engine::vegetaS162()});
-    LaneReplayer replayer(specs);
-    const auto results = replayer.replay(traces);
-    ASSERT_EQ(results.size(), traces.size());
-    for (std::size_t lane = 0; lane < traces.size(); ++lane) {
-        SCOPED_TRACE("lane " + std::to_string(lane));
-        expectIdentical(results[lane],
-                        singleReference(specs[lane], traces[lane]));
+        expectLanesMatchSingle(
+            std::vector<LaneReplayer::LaneSpec>(
+                width, {{}, engine::vegetaS162()}),
+            kernel.trace);
     }
 }
 
 TEST(LaneReplay, HeterogeneousLaneConfigs)
 {
-    // Per-lane core AND engine configs differ; dense engines get
-    // dense (N = 4) traces, sparse engines get sparse ones.
+    // Per-lane core AND engine configs differ on one stream; dense
+    // engines share the dense (N = 4) stream, sparse engines the 2:4
+    // one.
     kernels::KernelOptions opts;
     opts.traceOnly = true;
     const Trace dense =
         kernels::runSpmmKernel({32, 32, 128}, 4, opts).trace;
     const Trace sparse2 =
         kernels::runSpmmKernel({64, 64, 256}, 2, opts).trace;
-    // N=1 programs use TILE_SPMM_V, which only the VEGETA sparse
-    // engines support; STC-like lanes get the 2:4 trace instead.
-    const Trace sparse1 =
-        kernels::runSpmmKernel({32, 32, 128}, 1, opts).trace;
-    const Trace stc_trace =
-        kernels::runSpmmKernel({32, 32, 128}, 2, opts).trace;
 
     CoreConfig narrow;
     narrow.fetchWidth = 2;
@@ -268,90 +241,98 @@ TEST(LaneReplay, HeterogeneousLaneConfigs)
     CoreConfig shallow;
     shallow.frontEndDepth = 0;
     shallow.numLsuPorts = 1;
+    CoreConfig forwarding;
+    forwarding.outputForwarding = true;
 
-    const std::vector<LaneReplayer::LaneSpec> specs = {
-        {{}, engine::vegetaS162()},
-        {narrow, engine::vegetaD12()},
-        {divided, engine::vegetaS42()},
-        {shallow, engine::stcLike()},
-    };
-    const std::vector<Trace> traces = {sparse1, dense, sparse2,
-                                       stc_trace};
-    LaneReplayer replayer(specs);
-    const auto results = replayer.replay(traces);
-    ASSERT_EQ(results.size(), specs.size());
-    for (std::size_t lane = 0; lane < specs.size(); ++lane) {
-        SCOPED_TRACE("lane " + std::to_string(lane));
-        expectIdentical(results[lane],
-                        singleReference(specs[lane], traces[lane]));
+    {
+        SCOPED_TRACE("2:4 stream");
+        expectLanesMatchSingle({{{}, engine::vegetaS162()},
+                                {divided, engine::vegetaS42()},
+                                {shallow, engine::stcLike()},
+                                {narrow, engine::vegetaS162()},
+                                {forwarding, engine::vegetaS162()}},
+                               sparse2);
+    }
+    {
+        SCOPED_TRACE("dense stream");
+        expectLanesMatchSingle({{narrow, engine::vegetaD12()},
+                                {{}, engine::vegetaS162()},
+                                {divided, engine::stcLike()},
+                                {forwarding, engine::vegetaS42()}},
+                               dense);
     }
 }
 
-TEST(LaneReplay, ScrambledSinkInterleavingIsOrderIndependent)
+TEST(LaneReplay, SinkFeedMatchesBatchRun)
 {
-    // Feed lanes through their TraceSink facades in a deterministic
-    // scramble (bursts of different sizes per lane) instead of
-    // replay()'s round-robin; per-lane results must not change.
+    // Kernels emit straight into the shared sink; that must equal a
+    // run() over the materialized trace, lane for lane.
     kernels::KernelOptions opts;
     opts.traceOnly = true;
-    const std::vector<Trace> traces = {
-        kernels::runSpmmKernel({32, 32, 128}, 2, opts).trace,
-        kernels::runSpmmKernel({64, 64, 256}, 4, opts).trace,
-        kernels::runSpmmKernel({32, 32, 128}, 1, opts).trace,
-    };
-    const std::vector<LaneReplayer::LaneSpec> specs(
-        traces.size(), {{}, engine::vegetaS162()});
-    LaneReplayer replayer(specs);
+    const auto kernel =
+        kernels::runSpmmKernel({64, 64, 256}, 1, opts);
+    CoreConfig divided;
+    divided.engineClockDivider = 1;
+    const std::vector<LaneReplayer::LaneSpec> specs = {
+        {{}, engine::vegetaS162()}, {divided, engine::vegetaS162()}};
 
-    std::vector<std::size_t> cursor(traces.size(), 0);
-    std::size_t remaining = 0;
-    for (const Trace &t : traces)
-        remaining += t.size();
-    // Deterministic burst pattern: lane l emits (l * 3 + round) % 7 + 1
-    // ops per visit, so the interleave never resembles round-robin.
-    for (u64 round = 0; remaining > 0; ++round) {
-        for (std::size_t lane = 0; lane < traces.size(); ++lane) {
-            const std::size_t burst = (lane * 3 + round) % 7 + 1;
-            for (std::size_t n = 0;
-                 n < burst && cursor[lane] < traces[lane].size();
-                 ++n) {
-                replayer.sink(static_cast<u32>(lane))
-                    .emit(traces[lane][cursor[lane]++]);
-                --remaining;
-            }
-        }
-    }
-    for (std::size_t lane = 0; lane < traces.size(); ++lane) {
-        SCOPED_TRACE("lane " + std::to_string(lane));
-        expectIdentical(
-            replayer.finishLane(static_cast<u32>(lane)),
-            singleReference(specs[lane], traces[lane]));
-    }
+    LaneReplayer streamed(specs);
+    const kernels::KernelStats stats = kernels::streamSpmmKernel(
+        {64, 64, 256}, 1, opts, streamed.sink());
+    const auto results = streamed.finish();
+    EXPECT_EQ(stats.instructions, kernel.trace.size());
+    LaneReplayer batch(specs);
+    const auto expected = batch.run(kernel.trace);
+    ASSERT_EQ(results.size(), expected.size());
+    for (std::size_t lane = 0; lane < results.size(); ++lane)
+        expectIdentical(results[lane], expected[lane]);
+}
+
+TEST(LaneReplay, LaneOrderDoesNotMatter)
+{
+    // Lanes step in index order for every op; permuting the specs
+    // must permute the results and change nothing else.
+    kernels::KernelOptions opts;
+    opts.traceOnly = true;
+    const Trace trace =
+        kernels::runSpmmKernel({32, 64, 128}, 2, opts).trace;
+    CoreConfig narrow;
+    narrow.robEntries = 16;
+    const std::vector<LaneReplayer::LaneSpec> specs = {
+        {{}, engine::vegetaS162()},
+        {narrow, engine::vegetaS42()},
+        {{}, engine::stcLike()}};
+    LaneReplayer forward(specs);
+    LaneReplayer reversed({specs[2], specs[1], specs[0]});
+    const auto a = forward.run(trace);
+    const auto b = reversed.run(trace);
+    for (std::size_t lane = 0; lane < specs.size(); ++lane)
+        expectIdentical(a[lane], b[specs.size() - 1 - lane]);
 }
 
 TEST(LaneReplay, LanesAreReusableAfterFinish)
 {
-    // finishLane leaves the lane cold: a second stream through the
-    // same lane must match a cold single-stream run, even after other
-    // lanes ran unrelated streams.
+    // finish() leaves every lane and the shared state cold: a second
+    // stream through the same replayer must match a cold run.
     kernels::KernelOptions opts;
     opts.traceOnly = true;
     const Trace small =
         kernels::runSpmmKernel({32, 32, 128}, 4, opts).trace;
     const Trace big =
-        kernels::runSpmmKernel({64, 64, 256}, 2, opts).trace;
+        kernels::runSpmmKernel({32, 32, 256}, 4, opts).trace;
 
-    const std::vector<LaneReplayer::LaneSpec> specs(
-        2, {{}, engine::vegetaS162()});
+    const std::vector<LaneReplayer::LaneSpec> specs = {
+        {{}, engine::vegetaS162()}, {{}, engine::vegetaD12()}};
     LaneReplayer replayer(specs);
-    const auto first = replayer.replay(
-        std::vector<const Trace *>{&small, &big});
-    const auto second = replayer.replay(
-        std::vector<const Trace *>{&big, &small});
-    expectIdentical(first[0], second[1]);
-    expectIdentical(first[1], second[0]);
-    expectIdentical(first[0], singleReference(specs[0], small));
-    expectIdentical(first[1], singleReference(specs[1], big));
+    const auto first = replayer.run(small);
+    const auto other = replayer.run(big);
+    const auto again = replayer.run(small);
+    for (std::size_t lane = 0; lane < specs.size(); ++lane) {
+        expectIdentical(first[lane], again[lane]);
+        expectIdentical(first[lane],
+                        singleReference(specs[lane], small));
+        expectIdentical(other[lane], singleReference(specs[lane], big));
+    }
 }
 
 TEST(FlatCycleMap, InsertFindGrowAndClear)
