@@ -103,6 +103,15 @@ LaneReplayer::LaneReplayer(const std::vector<LaneSpec> &lanes)
     }
 }
 
+bool
+LaneReplayer::sameTiming(const LaneSpec &a, const LaneSpec &b)
+{
+    return a.core == b.core &&
+           engine::pipelineTiming(a.engine, a.core.outputForwarding) ==
+               engine::pipelineTiming(b.engine,
+                                      b.core.outputForwarding);
+}
+
 Cycles
 LaneReplayer::dispatch(Lane &lane, u64 i)
 {
@@ -385,6 +394,7 @@ LaneReplayer::step(const TraceOp &op)
         }
         ++engine_instructions_;
         effectual_macs_ += isa::effectualMacs(op.tile.op);
+        tile_opcodes_ |= u32{1} << static_cast<u32>(op.tile.op);
         break;
       }
     }
@@ -447,6 +457,7 @@ LaneReplayer::reset()
     kind_counts_.fill(0);
     engine_instructions_ = 0;
     effectual_macs_ = 0;
+    tile_opcodes_ = 0;
     store_slot_.clear();
     slot_range_.clear();
     stored_line_min_ = ~u64{0};

@@ -60,6 +60,8 @@ struct CoreConfig
     u32 engineClockDivider = 4;
     bool outputForwarding = false;
     CacheConfig cache;
+
+    bool operator==(const CoreConfig &) const = default;
 };
 
 /** Simulation outputs. */
@@ -89,6 +91,18 @@ class LaneReplayer
         engine::EngineConfig engine;
     };
 
+    /**
+     * Lane timing identity: equal core configurations (OF included)
+     * and equal engine::PipelineTiming.  A lane reads nothing else of
+     * its spec, so two lanes of the same timing replay any stream
+     * both can execute to bit-identical SimResults -- one lane can
+     * serve both.  Engines that differ elsewhere (name, alpha,
+     * supported opcodes) still compare equal; callers serving one
+     * lane's result to several engines check each engine against
+     * tileOpcodes().
+     */
+    static bool sameTiming(const LaneSpec &a, const LaneSpec &b);
+
     explicit LaneReplayer(const std::vector<LaneSpec> &lanes);
     // The shared sink points back at its replayer.
     LaneReplayer(const LaneReplayer &) = delete;
@@ -105,6 +119,12 @@ class LaneReplayer
      * leaves the replayer reset.
      */
     std::vector<SimResult> finish();
+
+    /**
+     * Tile-compute opcodes stepped since reset(), bit
+     * `1 << isa::Opcode` each (recorded once per op, not per lane).
+     */
+    u32 tileOpcodes() const { return tile_opcodes_; }
 
     /** Batch convenience: reset, step every op, finish. */
     std::vector<SimResult> run(const Trace &trace);
@@ -239,6 +259,7 @@ class LaneReplayer
     std::array<u64, 8> kind_counts_{};
     u64 engine_instructions_ = 0;
     u64 effectual_macs_ = 0;
+    u32 tile_opcodes_ = 0;
 
     /** Cache line -> slot of the last store that wrote it. */
     FlatCycleMap store_slot_{16};

@@ -6,8 +6,22 @@
 
 namespace vegeta::engine {
 
+PipelineTiming
+pipelineTiming(const EngineConfig &config, bool output_forwarding)
+{
+    PipelineTiming timing;
+    timing.stages.wl = config.nRows();
+    timing.stages.ff = kTileN;
+    timing.stages.fs = config.nRows() - 1;
+    timing.stages.dr = config.drainLatency();
+    timing.outputForwarding = output_forwarding;
+    timing.ofDelay = config.nRows() + config.reductionDepth();
+    return timing;
+}
+
 PipelineModel::PipelineModel(EngineConfig config, bool output_forwarding)
-    : config_(std::move(config)), output_forwarding_(output_forwarding)
+    : config_(std::move(config)),
+      timing_(pipelineTiming(config_, output_forwarding))
 {
 }
 
@@ -20,12 +34,7 @@ PipelineModel::stages(const isa::Instruction &instr) const
     VEGETA_ASSERT(config_.supportsOpcode(instr.op), config_.name,
                   " cannot execute ", isa::opcodeName(instr.op));
 
-    StageLatencies lat;
-    lat.wl = config_.nRows();
-    lat.ff = kTileN;
-    lat.fs = config_.nRows() - 1;
-    lat.dr = config_.drainLatency();
-    return lat;
+    return timing_.stages;
 }
 
 ScheduledOp
@@ -63,18 +72,15 @@ PipelineModel::issue(const isa::Instruction &instr, Cycles earliest_start)
             // (Figure 10c: the dependent instruction's WL overlaps the
             // producer's tail even without OF).
             Cycles ff_earliest = full_ready;
-            if (output_forwarding_) {
+            if (timing_.outputForwarding) {
                 // OF: C may be read once the producer has begun
                 // writing it back, Nrows + log2(beta) cycles after the
                 // producer's FF begin, element by element in the same
                 // order (Figure 10d).
                 const Cycles producer_ff =
                     reg_of_producer_ff_[reg];
-                if (producer_ff != 0) {
-                    const Cycles of_delay =
-                        config_.nRows() + config_.reductionDepth();
-                    ff_earliest = producer_ff + of_delay;
-                }
+                if (producer_ff != 0)
+                    ff_earliest = producer_ff + timing_.ofDelay;
             }
             if (ff_earliest > lat.ffOffset())
                 start = std::max(start, ff_earliest - lat.ffOffset());
@@ -153,9 +159,7 @@ PipelineModel::scheduleAll(const std::vector<isa::Instruction> &instrs)
 Cycles
 initiationInterval(const EngineConfig &config)
 {
-    const StageLatencies lat = {config.nRows(), kTileN,
-                                config.nRows() - 1,
-                                config.drainLatency()};
+    const StageLatencies lat = pipelineTiming(config, false).stages;
     return std::max({lat.wl, lat.ff, lat.fs, lat.dr});
 }
 

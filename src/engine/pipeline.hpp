@@ -44,7 +44,30 @@ struct StageLatencies
     Cycles total() const { return wl + ff + fs + dr; }
     /** Offset of the FF stage from instruction start. */
     Cycles ffOffset() const { return wl; }
+
+    bool operator==(const StageLatencies &) const = default;
 };
+
+/**
+ * Everything PipelineModel::issue() reads of its engine and OF flag:
+ * the stage latencies (the same for every tile-compute instruction)
+ * and the output-forwarding delay.  Two models of equal timing
+ * schedule any instruction sequence identically, whatever else their
+ * engines differ in.
+ */
+struct PipelineTiming
+{
+    StageLatencies stages;
+    bool outputForwarding = false;
+    /** Nrows + log2(beta): producer FF begin to forwarded C. */
+    Cycles ofDelay = 0;
+
+    bool operator==(const PipelineTiming &) const = default;
+};
+
+/** The timing a PipelineModel of @p config would schedule with. */
+PipelineTiming pipelineTiming(const EngineConfig &config,
+                              bool output_forwarding);
 
 /** Timing of one scheduled instruction. */
 struct ScheduledOp
@@ -69,7 +92,7 @@ class PipelineModel
                            bool output_forwarding = false);
 
     const EngineConfig &config() const { return config_; }
-    bool outputForwarding() const { return output_forwarding_; }
+    bool outputForwarding() const { return timing_.outputForwarding; }
 
     /** Stage latencies for one instruction on this engine. */
     StageLatencies stages(const isa::Instruction &instr) const;
@@ -106,7 +129,7 @@ class PipelineModel
 
   private:
     EngineConfig config_;
-    bool output_forwarding_;
+    PipelineTiming timing_;
 
     /** Stage exit times of the most recent instruction, per stage. */
     std::array<Cycles, 4> last_stage_exit_{};

@@ -656,7 +656,6 @@ SimServer::Impl::readerLoop(std::shared_ptr<ClientConn> conn)
                 conn->done = true;
                 return;
             }
-            statsData.jobs += jobs->size();
             conn->queue.push_back(
                 PendingBatch{std::move(*jobs), telemetry::nowNs()});
         }
@@ -739,15 +738,23 @@ SimServer::Impl::dispatchLoop()
         telemetry::recordNs(dispatch_timer, dispatch_ns);
         {
             std::lock_guard<std::mutex> lock(mutex);
-            ++statsData.batches;
             statsData.simulationsPerformed +=
                 outcome.output.simulationsPerformed;
             statsData.analysesPerformed +=
                 outcome.output.analysesPerformed;
             pushRing(waitRing, waitNext, wait_ns);
             pushRing(dispatchRing, dispatchNext, dispatch_ns);
+            // Only a served batch counts towards batches, jobs and
+            // jobs_per_s; a failed one is counted apart.
             const u64 now = telemetry::nowNs();
-            recentBatches.emplace_back(now, jobs.size());
+            if (outcome.ok) {
+                ++statsData.batches;
+                statsData.jobs += jobs.size();
+                recentBatches.emplace_back(now, jobs.size());
+            } else {
+                ++statsData.failedBatches;
+                statsData.failedJobs += jobs.size();
+            }
             while (!recentBatches.empty() &&
                    now - recentBatches.front().first >
                        10'000'000'000ull)
@@ -934,6 +941,9 @@ SimServer::Impl::statsJson()
     os << "]},\n";
     os << "  \"batches\": " << statsData.batches << ",\n";
     os << "  \"jobs\": " << statsData.jobs << ",\n";
+    os << "  \"failed_batches\": " << statsData.failedBatches
+       << ",\n";
+    os << "  \"failed_jobs\": " << statsData.failedJobs << ",\n";
     os << "  \"simulations\": " << statsData.simulationsPerformed
        << ",\n";
     os << "  \"analyses\": " << statsData.analysesPerformed << ",\n";

@@ -71,8 +71,10 @@ struct ServerOptions
 struct ServerStats
 {
     u64 connections = 0;
-    u64 batches = 0;
-    u64 jobs = 0;
+    u64 batches = 0;       ///< served (answered with results)
+    u64 jobs = 0;          ///< jobs of served batches
+    u64 failedBatches = 0; ///< answered with an error frame
+    u64 failedJobs = 0;    ///< jobs of failed batches
     u64 simulationsPerformed = 0;
     u64 analysesPerformed = 0;
     u64 protocolErrors = 0;

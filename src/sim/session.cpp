@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <map>
 #include <thread>
 #include <unordered_map>
@@ -62,12 +63,25 @@ streamTiles(const StreamKey &key)
     return (key[0] / 16) * (key[1] / 16) * (key[2] / tk);
 }
 
-/** One runBatch work unit: an analysis job or a stream group. */
+/**
+ * One runBatch work unit: an analysis job, or a chunk of a stream
+ * group's timing classes (each class the jobs one lane serves, in
+ * batch order).
+ */
 struct Task
 {
-    std::vector<std::size_t> jobs; ///< lanes, in batch order
+    std::vector<std::vector<std::size_t>> classes;
     u64 cost = 0;
     bool analysis = false;
+};
+
+/** The cache misses of one stream, partitioned by lane timing. */
+struct StreamGroup
+{
+    u64 tiles = 0; ///< padded tile count: replay cost per lane
+    /** Each class's first job's lane, in order of appearance. */
+    std::vector<cpu::LaneReplayer::LaneSpec> leads;
+    std::vector<std::vector<std::size_t>> classes;
 };
 
 // Cache-probe outcome counters, shared by every probe site.
@@ -339,9 +353,18 @@ Session::run(const Job &job) const
     return result;
 }
 
+cpu::LaneReplayer::LaneSpec
+Session::laneSpec(const SimulationRequest &request) const
+{
+    const auto engine = engines_.find(request.engine);
+    VEGETA_ASSERT(engine.has_value(), "unregistered engine ",
+                  request.engine);
+    return {coreFor(request, *engine), *engine};
+}
+
 void
 Session::runStream(const std::vector<Job> &jobs,
-                   const std::vector<std::size_t> &lanes,
+                   const std::vector<std::vector<std::size_t>> &classes,
                    const std::vector<std::string> &keys,
                    std::vector<JobResult> &results) const
 {
@@ -350,46 +373,61 @@ Session::runStream(const std::vector<Job> &jobs,
         telemetry::counterId("session.stream.groups");
     static const telemetry::MetricId lanes_id =
         telemetry::counterId("session.stream.lanes");
+    static const telemetry::MetricId replays_id =
+        telemetry::counterId("session.stream.replays");
     static const telemetry::MetricId sims_id =
         telemetry::counterId("session.simulations");
-    telemetry::Span span("session.stream", lanes.size());
+    std::size_t members = 0;
+    for (const auto &timing_class : classes)
+        members += timing_class.size();
+    telemetry::Span span("session.stream", members);
     telemetry::add(groups_id, 1);
-    telemetry::add(lanes_id, lanes.size());
+    telemetry::add(lanes_id, members);
+    telemetry::add(replays_id, classes.size());
 
+    // One lane per timing class, configured by its first member.
     std::vector<cpu::LaneReplayer::LaneSpec> specs;
-    specs.reserve(lanes.size());
-    for (const std::size_t i : lanes) {
-        const SimulationRequest &request = jobs[i].simulation;
-        const auto engine = engines_.find(request.engine);
-        VEGETA_ASSERT(engine.has_value(), "unregistered engine ",
-                      request.engine);
-        specs.push_back({coreFor(request, *engine), *engine});
-    }
+    specs.reserve(classes.size());
+    for (const auto &timing_class : classes)
+        specs.push_back(
+            laneSpec(jobs[timing_class.front()].simulation));
 
-    // Every lane shares the stream key, so the lead's GEMM, executed
+    // Every job shares the stream key, so the lead's GEMM, executed
     // N and kernel options generate every lane's uop stream.
-    const SimulationRequest &lead = jobs[lanes.front()].simulation;
+    const SimulationRequest &lead =
+        jobs[classes.front().front()].simulation;
     const u32 executed_n = specs.front().engine.effectiveN(
         lead.patternN);
     cpu::LaneReplayer replayer(specs);
     const kernels::KernelStats stats = kernels::streamSpmmKernel(
         lead.gemm, executed_n, kernelOptions(lead), replayer.sink());
+    const u32 issued = replayer.tileOpcodes();
     const std::vector<cpu::SimResult> sims = replayer.finish();
 
-    simulations_.fetch_add(lanes.size(), std::memory_order_relaxed);
-    telemetry::add(sims_id, lanes.size());
-    for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
-        const std::size_t i = lanes[lane];
-        const SimulationRequest &request = jobs[i].simulation;
-        SimulationResult result = fromSimResult(
-            sims[lane], specs[lane].engine, request,
-            kernelVariantName(request.kernel), executed_n,
-            stats.tileComputes);
-        if (cache_)
-            cache_->insert(keys[i], result);
-        if (disk_cache_)
-            disk_cache_->insert(keys[i], result);
-        results[i].simulation = std::move(result);
+    simulations_.fetch_add(members, std::memory_order_relaxed);
+    telemetry::add(sims_id, members);
+    for (std::size_t c = 0; c < classes.size(); ++c) {
+        for (const std::size_t i : classes[c]) {
+            const SimulationRequest &request = jobs[i].simulation;
+            const auto engine = engines_.find(request.engine);
+            // Only the class lead's own pipeline checked the opcodes
+            // it executed; every member must be able to run them.
+            for (u32 ops = issued; ops != 0; ops &= ops - 1) {
+                const auto op =
+                    static_cast<isa::Opcode>(std::countr_zero(ops));
+                VEGETA_ASSERT(engine->supportsOpcode(op), engine->name,
+                              " cannot execute ", isa::opcodeName(op));
+            }
+            SimulationResult result = fromSimResult(
+                sims[c], *engine, request,
+                kernelVariantName(request.kernel), executed_n,
+                stats.tileComputes);
+            if (cache_)
+                cache_->insert(keys[i], result);
+            if (disk_cache_)
+                disk_cache_->insert(keys[i], result);
+            results[i].simulation = std::move(result);
+        }
     }
 }
 
@@ -444,11 +482,10 @@ Session::runBatch(const std::vector<Job> &jobs, u32 threads) const
         // equals the batch's unique job count) and the misses group
         // by the uop stream they replay.
         std::map<StreamKey, std::size_t> group_of;
-        std::vector<std::vector<std::size_t>> groups;
-        std::vector<u64> group_tiles;
+        std::vector<StreamGroup> groups;
         for (const std::size_t i : unique) {
             if (jobs[i].kind == JobKind::Analysis) {
-                tasks.push_back({{i}, 0, true});
+                tasks.push_back({{{i}}, 0, true});
                 continue;
             }
             telemetry::Span span("session.job");
@@ -461,49 +498,56 @@ Session::runBatch(const std::vector<Job> &jobs, u32 threads) const
                     continue;
                 }
             }
-            const auto engine = engines_.find(request.engine);
-            VEGETA_ASSERT(engine.has_value(), "unregistered engine ",
-                          request.engine);
+            cpu::LaneReplayer::LaneSpec spec = laneSpec(request);
             const StreamKey key = streamKey(
-                request, engine->effectiveN(request.patternN));
+                request, spec.engine.effectiveN(request.patternN));
             const auto [it, inserted] =
                 group_of.emplace(key, groups.size());
-            if (inserted) {
-                groups.emplace_back();
-                group_tiles.push_back(streamTiles(key));
+            if (inserted)
+                groups.push_back({streamTiles(key), {}, {}});
+            // Within the stream, jobs of one lane timing share a
+            // class: one lane replays it for all of them.
+            StreamGroup &group = groups[it->second];
+            std::size_t c = 0;
+            while (c < group.leads.size() &&
+                   !cpu::LaneReplayer::sameTiming(group.leads[c], spec))
+                ++c;
+            if (c == group.leads.size()) {
+                group.leads.push_back(std::move(spec));
+                group.classes.emplace_back();
             }
-            groups[it->second].push_back(i);
+            group.classes[c].push_back(i);
         }
 
         // A group costs one emission and cache probe plus one
-        // timing replay per lane, each proportional to the stream's
-        // padded tile count.  A group splits into near-equal lane
-        // chunks (at most one per thread) only while a chunk would
-        // exceed a thread's fair share of the batch, so grouping
-        // never costs parallelism.
+        // timing replay per class, each proportional to the stream's
+        // padded tile count.  A group splits into near-equal chunks
+        // of whole classes (at most one per thread) only while a
+        // chunk would exceed a thread's fair share of the batch, so
+        // grouping never costs parallelism.
         u64 total = 0;
-        for (std::size_t g = 0; g < groups.size(); ++g)
-            total += group_tiles[g] * (1 + groups[g].size());
+        for (const StreamGroup &group : groups)
+            total += group.tiles * (1 + group.classes.size());
         const u64 share = total / threads;
-        for (std::size_t g = 0; g < groups.size(); ++g) {
-            const std::vector<std::size_t> &members = groups[g];
-            const u64 tiles = group_tiles[g];
-            const std::size_t n = members.size();
+        for (StreamGroup &group : groups) {
+            const std::size_t n = group.classes.size();
             const std::size_t max_parts =
                 std::min<std::size_t>(n, threads);
             std::size_t parts = 1;
             while (parts < max_parts &&
-                   tiles * (1 + (n + parts - 1) / parts) > share)
+                   group.tiles * (1 + (n + parts - 1) / parts) > share)
                 ++parts;
             for (std::size_t p = 0; p < parts; ++p) {
                 Task chunk;
-                chunk.jobs.assign(
-                    members.begin() +
-                        static_cast<std::ptrdiff_t>(n * p / parts),
-                    members.begin() +
+                chunk.classes.assign(
+                    std::make_move_iterator(
+                        group.classes.begin() +
+                        static_cast<std::ptrdiff_t>(n * p / parts)),
+                    std::make_move_iterator(
+                        group.classes.begin() +
                         static_cast<std::ptrdiff_t>(n * (p + 1) /
-                                                    parts));
-                chunk.cost = tiles * (1 + chunk.jobs.size());
+                                                    parts)));
+                chunk.cost = group.tiles * (1 + chunk.classes.size());
                 tasks.push_back(std::move(chunk));
             }
         }
@@ -520,10 +564,12 @@ Session::runBatch(const std::vector<Job> &jobs, u32 threads) const
     telemetry::add(unique_id, unique.size());
 
     auto runTask = [&](const Task &task) {
-        if (task.analysis)
-            results[task.jobs[0]] = run(jobs[task.jobs[0]]);
-        else
-            runStream(jobs, task.jobs, keys, results);
+        if (task.analysis) {
+            const std::size_t i = task.classes[0][0];
+            results[i] = run(jobs[i]);
+        } else {
+            runStream(jobs, task.classes, keys, results);
+        }
     };
 
     const u32 workers =

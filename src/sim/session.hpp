@@ -155,7 +155,10 @@ class Session
      * they replay (padded GEMM, executed N, kernel variant and
      * blocking, CacheConfig): each group is one task that emits and
      * cache-probes its stream once and replays it on a shared-stream
-     * LaneReplayer (cpu/lane_replayer.hpp) with one lane per job.
+     * LaneReplayer (cpu/lane_replayer.hpp) with one lane per timing
+     * class -- the jobs whose lanes are of equal timing
+     * (LaneReplayer::sameTiming) -- and fans each lane's result out
+     * to every job of its class.
      *
      * Deterministic: the batch output is bit-for-bit identical for
      * any thread count and any grouping (each lane is bit-identical
@@ -227,17 +230,25 @@ class Session
     std::optional<SimulationResult>
     probeCaches(const std::string &key) const;
 
+    /** The lane that replays @p request: core after coreFor, and
+     *  its registered engine. */
+    cpu::LaneReplayer::LaneSpec
+    laneSpec(const SimulationRequest &request) const;
+
     /**
-     * Replay the simulation jobs at @p lanes (indices into @p jobs,
-     * all of one uop stream) as one shared-stream group: the kernel
-     * emits the stream once into a LaneReplayer with a lane per job,
-     * and each result is published under keys[i].  results[i] is
-     * bit-identical to run(jobs[i]).
+     * Replay the simulation jobs in @p classes (indices into @p jobs,
+     * all of one uop stream, each class of one lane timing) as one
+     * shared-stream group: the kernel emits the stream once into a
+     * LaneReplayer with a lane per class, and each member's result
+     * is built from its class's lane with its own request and
+     * published under keys[i].  results[i] is bit-identical to
+     * run(jobs[i]).
      */
-    void runStream(const std::vector<Job> &jobs,
-                   const std::vector<std::size_t> &lanes,
-                   const std::vector<std::string> &keys,
-                   std::vector<JobResult> &results) const;
+    void
+    runStream(const std::vector<Job> &jobs,
+              const std::vector<std::vector<std::size_t>> &classes,
+              const std::vector<std::string> &keys,
+              std::vector<JobResult> &results) const;
 
     EngineRegistry engines_;
     WorkloadRegistry workloads_;

@@ -14,7 +14,12 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <sstream>
+
+#include "common/random.hpp"
 #include "cpu/lane_replayer.hpp"
+#include "cpu/trace_cpu.hpp"
 #include "kernels/gemm_kernels.hpp"
 #include "sim/session.hpp"
 #include "sim/simulator.hpp"
@@ -300,6 +305,128 @@ TEST(GoldenCycles, SharedStreamLanesMatchPinnedValues)
             expectGolden(g, result);
         }
     }
+}
+
+std::string
+hexFloat(double value)
+{
+    std::ostringstream os;
+    os << std::hexfloat << value;
+    return os.str();
+}
+
+TEST(GoldenCycles, EqualTimingKeysReplayBitIdentically)
+{
+    // The guard on runBatch's timing classes: any two registered
+    // engine x OF lanes that LaneReplayer::sameTiming calls equal
+    // must replay every stream both can execute to bit-identical
+    // results.  A PipelineModel or lane change that starts reading a
+    // field the key leaves out fails here until the key grows.
+    const EngineRegistry engines = EngineRegistry::builtin();
+    std::vector<cpu::LaneReplayer::LaneSpec> specs;
+    for (const auto &engine : engines.configs()) {
+        for (const bool of : {false, true}) {
+            cpu::CoreConfig core;
+            core.outputForwarding = of && engine.sparse;
+            specs.push_back({core, engine});
+        }
+    }
+
+    Rng rng(0x7131c1a55u); // fixed: failures must repro
+    for (const u32 executed_n : {1u, 2u, 4u}) {
+        for (const bool optimized : {false, true}) {
+            kernels::KernelOptions opts;
+            opts.traceOnly = true;
+            opts.optimized = optimized;
+            opts.cBlocking = 1 + static_cast<u32>(rng.nextBelow(3));
+            const kernels::GemmDims dims{
+                16 * (1 + static_cast<u32>(rng.nextBelow(3))),
+                16 * (1 + static_cast<u32>(rng.nextBelow(3))),
+                32 * (1 + static_cast<u32>(rng.nextBelow(4)))};
+            SCOPED_TRACE("N=" + std::to_string(executed_n) + " " +
+                         std::to_string(dims.m) + "x" +
+                         std::to_string(dims.n) + "x" +
+                         std::to_string(dims.k) +
+                         (optimized ? " optimized" : " naive"));
+            const cpu::Trace trace =
+                kernels::runSpmmKernel(dims, executed_n, opts).trace;
+
+            std::vector<std::optional<cpu::SimResult>> sims(
+                specs.size());
+            auto replay = [&](std::size_t s) -> const cpu::SimResult & {
+                if (!sims[s])
+                    sims[s] = cpu::TraceCpu(specs[s].core,
+                                            specs[s].engine)
+                                  .run(trace);
+                return *sims[s];
+            };
+            u32 merged = 0;
+            for (std::size_t a = 0; a < specs.size(); ++a) {
+                for (std::size_t b = a + 1; b < specs.size(); ++b) {
+                    const auto &ea = specs[a].engine;
+                    const auto &eb = specs[b].engine;
+                    if (ea.effectiveN(executed_n) != executed_n ||
+                        eb.effectiveN(executed_n) != executed_n ||
+                        !cpu::LaneReplayer::sameTiming(specs[a],
+                                                       specs[b]))
+                        continue;
+                    SCOPED_TRACE(ea.name + " vs " + eb.name);
+                    const cpu::SimResult &x = replay(a);
+                    const cpu::SimResult &y = replay(b);
+                    EXPECT_EQ(x.totalCycles, y.totalCycles);
+                    EXPECT_EQ(x.retiredOps, y.retiredOps);
+                    EXPECT_EQ(x.kindCounts, y.kindCounts);
+                    EXPECT_EQ(x.engineInstructions,
+                              y.engineInstructions);
+                    EXPECT_EQ(x.engineLastFinish, y.engineLastFinish);
+                    EXPECT_EQ(x.cacheHits, y.cacheHits);
+                    EXPECT_EQ(x.cacheMisses, y.cacheMisses);
+                    EXPECT_EQ(hexFloat(x.macUtilization),
+                              hexFloat(y.macUtilization));
+                    ++merged;
+                }
+            }
+            EXPECT_GT(merged, 0u);
+        }
+    }
+}
+
+TEST(GoldenCycles, TimingKeyMergesTheFigure13Equivalences)
+{
+    // The Table IV merges runBatch relies on (docs/REPLAY.md), and
+    // the splits it must keep.
+    const EngineRegistry engines = EngineRegistry::builtin();
+    auto spec = [&](const char *name, bool of) {
+        const auto engine = engines.find(name);
+        EXPECT_TRUE(engine.has_value()) << name;
+        cpu::CoreConfig core;
+        core.outputForwarding = of && engine->sparse;
+        return cpu::LaneReplayer::LaneSpec{core, *engine};
+    };
+    auto same = [&](const char *a, bool a_of, const char *b,
+                    bool b_of) {
+        return cpu::LaneReplayer::sameTiming(spec(a, a_of),
+                                             spec(b, b_of));
+    };
+    for (const bool of : {false, true}) {
+        EXPECT_TRUE(same("VEGETA-S-8-2", of, "VEGETA-S-16-2", of));
+        EXPECT_TRUE(same("VEGETA-S-1-2", of, "STC-like", of));
+        EXPECT_FALSE(same("VEGETA-S-4-2", of, "VEGETA-S-8-2", of));
+        EXPECT_FALSE(same("VEGETA-S-2-2", of, "VEGETA-S-4-2", of));
+    }
+    // Dense engines never forward, so OF folds away for them.
+    EXPECT_TRUE(same("VEGETA-D-1-2", false, "VEGETA-S-1-2", false));
+    EXPECT_TRUE(same("VEGETA-D-1-2", true, "STC-like", false));
+    EXPECT_FALSE(same("VEGETA-D-1-2", true, "VEGETA-S-1-2", true));
+    EXPECT_FALSE(same("VEGETA-S-1-2", false, "VEGETA-S-1-2", true));
+    EXPECT_FALSE(same("VEGETA-D-1-1", false, "VEGETA-D-16-1", false));
+    EXPECT_FALSE(same("VEGETA-D-1-1", false, "VEGETA-D-1-2", false));
+
+    // Any core field splits a class.
+    auto narrow = spec("VEGETA-S-8-2", false);
+    narrow.core.robEntries = 24;
+    EXPECT_FALSE(cpu::LaneReplayer::sameTiming(
+        narrow, spec("VEGETA-S-16-2", false)));
 }
 
 } // namespace

@@ -12,7 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <csignal>
 #include <filesystem>
+#include <fstream>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -204,6 +208,75 @@ TEST(Service, StatsFrameCountsPerWorkerJobs)
               std::string::npos)
         << *stats;
     EXPECT_NE(stats->find("\"per_worker\""), std::string::npos);
+    fixture.server->stop();
+}
+
+/** Live children of this process, from every thread's list. */
+std::set<pid_t>
+childPids()
+{
+    std::set<pid_t> pids;
+    for (const auto &task : fs::directory_iterator("/proc/self/task")) {
+        std::ifstream children(task.path() / "children");
+        pid_t pid = 0;
+        while (children >> pid)
+            pids.insert(pid);
+    }
+    return pids;
+}
+
+/** Wait until @p pid is a zombie: dead, its pipe ends closed. */
+bool
+waitUntilDead(pid_t pid)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (std::chrono::steady_clock::now() < deadline) {
+        std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+        std::string pid_field, comm, state;
+        if (!(stat >> pid_field >> comm >> state) || state == "Z")
+            return true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return false;
+}
+
+TEST(Service, FailedBatchIsCountedApartFromServed)
+{
+    // SIGKILL one service worker: the next multi-job batch fails,
+    // and stats must count it as failed, not as served jobs.
+    const std::set<pid_t> before = childPids();
+    ServerFixture fixture("killedworker", 2);
+    std::vector<pid_t> workers;
+    for (const pid_t pid : childPids())
+        if (!before.count(pid))
+            workers.push_back(pid);
+    ASSERT_EQ(workers.size(), 2u);
+
+    const auto jobs = mixedBatch(); // 3 unique keys: both workers
+    auto client = fixture.client();
+    std::string error;
+    ASSERT_TRUE(client.connect(&error)) << error;
+    ASSERT_TRUE(client.runBatch(jobs, &error).has_value()) << error;
+
+    ASSERT_EQ(::kill(workers[1], SIGKILL), 0);
+    ASSERT_TRUE(waitUntilDead(workers[1]));
+    EXPECT_FALSE(client.runBatch(jobs, &error).has_value());
+
+    const auto stats = fixture.server->stats();
+    EXPECT_EQ(stats.batches, 1u);
+    EXPECT_EQ(stats.jobs, jobs.size());
+    EXPECT_EQ(stats.failedBatches, 1u);
+    EXPECT_EQ(stats.failedJobs, jobs.size());
+    const auto json = client.fetchStats(&error);
+    ASSERT_TRUE(json.has_value()) << error;
+    EXPECT_NE(json->find("\"batches\": 1,"), std::string::npos)
+        << *json;
+    EXPECT_NE(json->find("\"jobs\": 4,"), std::string::npos) << *json;
+    EXPECT_NE(json->find("\"failed_batches\": 1,"), std::string::npos)
+        << *json;
+    EXPECT_NE(json->find("\"failed_jobs\": 4,"), std::string::npos)
+        << *json;
     fixture.server->stop();
 }
 

@@ -319,14 +319,19 @@ TEST(Session, RequestOverloadMatchesSweepRunnerShim)
 
 /** Every job run on its own: the single-stream reference. */
 std::vector<JobResult>
-ungrouped(const std::vector<Job> &jobs)
+ungrouped(const Session &session, const std::vector<Job> &jobs)
 {
-    const Session session;
     std::vector<JobResult> results;
     results.reserve(jobs.size());
     for (const Job &job : jobs)
         results.push_back(session.run(job));
     return results;
+}
+
+std::vector<JobResult>
+ungrouped(const std::vector<Job> &jobs)
+{
+    return ungrouped(Session(), jobs);
 }
 
 std::vector<Job>
@@ -442,9 +447,10 @@ TEST(StreamGrouping, GroupsMixingCacheHitsAndMisses)
 
 TEST(StreamGrouping, ThreadsBeyondGroupsSplitTheGroup)
 {
-    // One stream, twelve lanes: at 8 threads a single group would
-    // hold far more than a thread's share, so it splits into one
-    // chunk per thread; at 1 thread it stays whole.
+    // One stream, twelve lanes in eight timing classes: at 8
+    // threads a single group would hold far more than a thread's
+    // share, so it splits into one chunk per thread; at 1 thread it
+    // stays whole.
     const Session session;
     std::vector<Job> jobs;
     for (const auto &engine : session.engines().names()) {
@@ -508,6 +514,178 @@ TEST(StreamGrouping, OneJobSpanPerUniqueJob)
     (void)groups;
 #endif
     telemetry::clearTrace();
+}
+
+// --- Timing classes within a stream group ----------------------------
+
+/** A telemetry counter so far (0 without telemetry). */
+u64
+counter(const char *name)
+{
+    return telemetry::snapshot().counter(name);
+}
+
+/** One layer through every engine, pattern and OF: 45 jobs. */
+std::vector<Job>
+oneLayer(const Session &session)
+{
+    std::vector<Job> jobs;
+    for (auto &request : figure13Grid(session, {"quick-square"},
+                                      session.engines().names()))
+        jobs.push_back(Job::simulate(std::move(request)));
+    return jobs;
+}
+
+TEST(TimingClasses, OneLayerReplaysEachTimingOnce)
+{
+    // 45 jobs on three streams replay in 26 lanes: 10 on the 4:4
+    // stream, 8 each on 2:4 and 1:4 (docs/REPLAY.md lists them).
+    const auto jobs = oneLayer(Session());
+    ASSERT_EQ(jobs.size(), 45u);
+    const auto reference = ungrouped(jobs);
+    for (const u32 threads : {1u, 2u, 3u, 8u}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        const Session session;
+        const u64 lanes = counter("session.stream.lanes");
+        const u64 replays = counter("session.stream.replays");
+        const u64 sims = counter("session.simulations");
+        expectIdenticalBatches(session.runBatch(jobs, threads),
+                               reference);
+        EXPECT_EQ(session.simulationsPerformed(), jobs.size());
+#ifndef VEGETA_NO_TELEMETRY
+        EXPECT_EQ(counter("session.stream.lanes") - lanes, 45u);
+        EXPECT_EQ(counter("session.stream.replays") - replays, 26u);
+        EXPECT_EQ(counter("session.simulations") - sims, 45u);
+#else
+        (void)lanes;
+        (void)replays;
+        (void)sims;
+#endif
+    }
+}
+
+TEST(TimingClasses, CacheHitsOnSomeMembersOfAClass)
+{
+    // Pre-warm one member of each merged class (and a singleton):
+    // the hits are served from the caches, their classmates still
+    // replay, and every slot reads the single-job bytes.
+    const auto jobs = oneLayer(Session());
+    const auto reference = ungrouped(jobs);
+    std::vector<Job> warm;
+    for (const Job &job : jobs) {
+        const SimulationRequest &r = job.simulation;
+        if ((r.engine == "VEGETA-S-1-2" && r.patternN == 4 &&
+             !r.outputForwarding) ||
+            (r.engine == "VEGETA-S-16-2" && r.outputForwarding) ||
+            (r.engine == "VEGETA-D-1-1" && r.patternN == 2) ||
+            (r.engine == "VEGETA-S-4-2" && r.patternN == 1 &&
+             !r.outputForwarding))
+            warm.push_back(job);
+    }
+    ASSERT_EQ(warm.size(), 6u);
+    for (const u32 threads : {1u, 2u, 3u, 8u}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        const std::string dir =
+            freshDir("class_partial_" + std::to_string(threads));
+        {
+            Session warmer;
+            warmer.attachDiskCache(dir);
+            warmer.runBatch(warm, threads);
+        }
+        Session session;
+        session.enableCache();
+        session.attachDiskCache(dir);
+        ASSERT_TRUE(session.diskCache()->ok());
+        expectIdenticalBatches(session.runBatch(jobs, threads),
+                               reference);
+        EXPECT_EQ(session.simulationsPerformed(),
+                  jobs.size() - warm.size());
+        // Every miss landed in the caches under its own key.
+        const u64 before = session.simulationsPerformed();
+        expectIdenticalBatches(session.runBatch(jobs, threads),
+                               reference);
+        EXPECT_EQ(session.simulationsPerformed(), before);
+    }
+}
+
+TEST(TimingClasses, ClonedEngineSharesALaneButKeepsItsName)
+{
+    // An engine registered twice under different names is one timing
+    // class: one lane replays both, and each result still carries
+    // its own engine name, label and OF flag.
+    EngineRegistry engines = EngineRegistry::builtin();
+    engine::EngineConfig twin = *engines.find("VEGETA-S-2-2");
+    twin.name = "VEGETA-S-2-2-twin";
+    engines.add(twin);
+    const Session session(engines, WorkloadRegistry::builtin());
+    std::vector<Job> jobs;
+    for (const char *name : {"VEGETA-S-2-2", "VEGETA-S-2-2-twin"}) {
+        for (const u32 pattern : {1u, 2u, 4u}) {
+            for (const bool of : {false, true}) {
+                auto job = session.job()
+                               .workload("quick-small")
+                               .engine(name)
+                               .pattern(pattern)
+                               .outputForwarding(of)
+                               .build();
+                ASSERT_TRUE(job.has_value());
+                jobs.push_back(*job);
+            }
+        }
+    }
+    const auto reference = ungrouped(session, jobs);
+    for (std::size_t i = 0; i < jobs.size() / 2; ++i) {
+        const auto &own = reference[i].simulation;
+        const auto &twin_result = reference[i + 6].simulation;
+        EXPECT_EQ(own.coreCycles, twin_result.coreCycles);
+        EXPECT_EQ(twin_result.engine, "VEGETA-S-2-2-twin");
+    }
+    for (const u32 threads : {1u, 2u, 3u, 8u}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        const Session fresh(engines, WorkloadRegistry::builtin());
+        const u64 replays = counter("session.stream.replays");
+        expectIdenticalBatches(fresh.runBatch(jobs, threads),
+                               reference);
+        EXPECT_EQ(fresh.simulationsPerformed(), jobs.size());
+#ifndef VEGETA_NO_TELEMETRY
+        // Three streams x {OF off, OF on}.
+        EXPECT_EQ(counter("session.stream.replays") - replays, 6u);
+#else
+        (void)replays;
+#endif
+    }
+}
+
+TEST(TimingClassesDeathTest, MergedMemberStillChecksItsOpcodes)
+{
+    // A dense engine with S-1-2's geometry that claims N=2 shares
+    // S-1-2's class on the 2:4 stream, so only S-1-2's pipeline
+    // issues its TILE_SPMM_U ops -- the batch must still refuse the
+    // dense member, as a single-job run would.
+    EngineRegistry engines = EngineRegistry::builtin();
+    engine::EngineConfig fake;
+    fake.name = "DENSE-1-2-N2";
+    fake.sparse = false;
+    fake.alpha = 1;
+    fake.beta = 2;
+    fake.minSupportedN = 2;
+    engines.add(fake);
+    const Session session(engines, WorkloadRegistry::builtin());
+    std::vector<Job> jobs;
+    for (const char *name : {"VEGETA-S-1-2", "DENSE-1-2-N2"}) {
+        Job job;
+        job.kind = JobKind::Simulation;
+        job.simulation.gemm = {32, 32, 128};
+        job.simulation.engine = name;
+        job.simulation.patternN = 2;
+        jobs.push_back(job);
+    }
+    ASSERT_TRUE(cpu::LaneReplayer::sameTiming(
+        {cpu::CoreConfig{}, *engines.find("VEGETA-S-1-2")},
+        {cpu::CoreConfig{}, fake}));
+    EXPECT_DEATH(session.runBatch(jobs, 1),
+                 "DENSE-1-2-N2 cannot execute");
+    EXPECT_DEATH(session.run(jobs[1]), "DENSE-1-2-N2 cannot execute");
 }
 
 TEST(Session, JobErrorChecksBothKinds)
