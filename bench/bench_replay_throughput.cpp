@@ -12,7 +12,7 @@
  *    against K back-to-back single-stream runs (interleaved arms,
  *    median and IQR of the speedup),
  *  - a thread-pooled Session::runBatch grid (uops/sec),
- *  - the same grid sharded over worker PROCESSES (ProcessPool) at
+ *  - the same grid spread over worker PROCESSES (ProcessPool) at
  *    several worker counts -- the pooled-sweep scaling row (workers
  *    re-enter this binary through the hidden "worker" argv token),
  *  - peak RSS before and after materializing the largest trace (the
@@ -154,8 +154,8 @@ measureBatch(const sim::Session &simulator, PointResult &out,
 int
 main(int argc, char **argv)
 {
-    // Hidden pool-worker re-entry: the pooled-sweep measurement forks
-    // this binary back into itself with a shard file.
+    // Hidden pool-worker re-entry: the pooled-sweep measurement execs
+    // this binary back into itself as a frame-fed worker.
     if (argc > 1 && std::string(argv[1]) == "worker")
         return sim::poolWorkerMain(
             std::vector<std::string>(argv + 2, argv + argc));
@@ -429,7 +429,7 @@ main(int argc, char **argv)
                 grid.size(), sweep_threads, sweep_secs,
                 sweep_uops / sweep_secs / 1e6);
 
-    // Pooled-sweep scaling row: the same grid sharded over worker
+    // Pooled-sweep scaling row: the same grid spread over worker
     // processes (each worker single-threaded so the row isolates
     // process-level scaling).  No cache dir: every point is a cold
     // compute, comparable across worker counts.
@@ -459,7 +459,7 @@ main(int argc, char **argv)
         for (int r = 0; r < pool_reps; ++r) {
             const auto t0 = Clock::now();
             const auto pooled =
-                simulator.runBatchPooled(pool_jobs, options);
+                sim::ProcessPool(options).run(simulator, pool_jobs);
             const auto t1 = Clock::now();
             if (!pooled.ok) {
                 std::cerr << "pooled sweep failed: " << pooled.error
@@ -484,7 +484,7 @@ main(int argc, char **argv)
     }
 
     // Measured pool crossover: the smallest unique-job batch where
-    // sharding over 2 worker processes actually beats running the
+    // spreading over 2 worker processes actually beats running the
     // batch in-process.  defaultPoolCrossoverJobs() is pinned to this
     // measurement's committed trajectory value (0 = the pool never
     // won at any tested size on this host).
@@ -520,7 +520,7 @@ main(int argc, char **argv)
             for (int r = 0; r < crossover_reps; ++r) {
                 const auto t0 = Clock::now();
                 const auto pooled =
-                    simulator.runBatchPooled(subset, options);
+                    sim::ProcessPool(options).run(simulator, subset);
                 const auto t1 = Clock::now();
                 if (!pooled.ok) {
                     std::cerr << "crossover pool run failed: "

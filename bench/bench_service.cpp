@@ -7,10 +7,10 @@
  *  - the COLD baseline: fork/exec of a fresh process per sweep (what
  *    every CLI invocation used to pay -- process startup, registry
  *    construction, first-touch simulation of the whole grid),
- *  - the WARM service: one in-process SimServer with pre-forked
- *    persistent workers, hit by N concurrent clients, reporting
- *    per-request p50/p99 latency and aggregate jobs/sec per client
- *    count,
+ *  - the WARM service: one in-process SimServer with exec'd
+ *    persistent workers (this binary's hidden `worker` re-entry),
+ *    hit by N concurrent clients, reporting per-request p50/p99
+ *    latency and aggregate jobs/sec per client count,
  *  - a correctness judge: the client-side batch must serialize to
  *    byte-identical JSON as a local Session::runBatch of the same
  *    grid, and a repeated sweep must report zero simulations
@@ -109,6 +109,12 @@ struct WarmPoint
 int
 main(int argc, char **argv)
 {
+    // Hidden service-worker re-entry: the SimServer below execs this
+    // binary back into itself as its frame-fed workers.
+    if (argc > 1 && std::string(argv[1]) == "worker")
+        return sim::poolWorkerMain(
+            std::vector<std::string>(argv + 2, argv + argc));
+
     // Hidden cold-baseline re-entry (fork/exec'd by the measurement
     // below): run the sweep in this fresh process and exit.
     if (argc > 1 && std::string(argv[1]) == "coldrun")
@@ -218,9 +224,6 @@ main(int argc, char **argv)
                 grid.size(), cold_secs, cold_jobs_per_sec);
 
     // --- the warm service ------------------------------------------
-    // Started BEFORE any client thread exists: SimServer pre-forks
-    // its persistent workers at start(), which requires a
-    // single-threaded process.
     char sock_dir[] = "/tmp/vegeta-bench-service-XXXXXX";
     if (!mkdtemp(sock_dir)) {
         std::cerr << "cannot create socket directory\n";

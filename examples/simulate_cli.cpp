@@ -16,7 +16,7 @@
  * `run` and `sweep` accept --cache-dir DIR to attach the Session's
  * persistent result cache; `cache stats` prints its counters as JSON
  * and `cache prune` bounds the file under --max-bytes/--max-entries.
- * `sweep --workers N` shards the grid over N forked worker processes
+ * `sweep --workers N` spreads the grid over N exec'd worker processes
  * (sim/pool.hpp) that re-enter this binary through the hidden
  * `worker` subcommand and share the --cache-dir; the merged output
  * is byte-identical to the single-process sweep.  Every numeric flag
@@ -24,7 +24,7 @@
  * garbage or negative values are errors, never silently-zero atoi
  * results.
  *
- * `serve` keeps one warm Session (and optional pre-forked persistent
+ * `serve` keeps one warm Session (and optional persistent exec'd
  * workers) behind a unix/TCP socket; `run --connect ADDR` and `sweep
  * --connect ADDR` send the same work there instead of simulating
  * locally, with byte-identical stdout (sim/server, sim/client).
@@ -153,7 +153,7 @@ usage(std::ostream &os)
           "  --socket PATH       listen on a unix-domain socket\n"
           "  --port N            listen on 127.0.0.1:N (0 = pick an\n"
           "                      ephemeral port)\n"
-          "  --service-workers K persistent pre-forked worker\n"
+          "  --service-workers K persistent exec'd worker\n"
           "                      processes (default 0 = in-process)\n"
           "  --threads N         simulation threads (per worker)\n"
           "  --queue-depth N     pending batches per client before\n"
@@ -724,7 +724,7 @@ cmdSweep(Args args)
             results.push_back(result.simulation);
         simulated = remote->simulationsPerformed;
     } else if (workers > 0) {
-        // Pooled path: shard the grid over forked worker processes
+        // Pooled path: spread the grid over exec'd worker processes
         // re-entering this binary via the hidden `worker` subcommand.
         // The merged batch is byte-identical to the in-process sweep.
         std::vector<sim::Job> jobs;
@@ -739,7 +739,8 @@ cmdSweep(Args args)
         // the batch-size planner so small sweeps still shard exactly
         // as requested.
         options.minPooledJobs = 1;
-        const auto pooled = session.runBatchPooled(jobs, options);
+        const auto pooled =
+            sim::ProcessPool(std::move(options)).run(session, jobs);
         if (!pooled.ok) {
             std::cerr << "error: pooled sweep failed: " << pooled.error
                       << "\n";
@@ -1421,8 +1422,8 @@ main(int argc, char **argv)
 
     const std::string command = args.take();
     if (command == "worker") {
-        // Hidden: the process-pool re-enters this binary here with a
-        // shard file written by `sweep --workers` (sim/pool.hpp).
+        // Hidden: `sweep --workers` and `serve --service-workers`
+        // exec this binary here as a frame-fed worker (sim/pool.hpp).
         return sim::poolWorkerMain(args.argv.size() > 1
                                        ? std::vector<std::string>(
                                              args.argv.begin() + 1,

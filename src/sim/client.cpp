@@ -45,7 +45,7 @@ connectOnce(bool use_tcp, const std::string &host_or_path, u32 port,
                 *error = "socket path too long: " + host_or_path;
             return -1;
         }
-        const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+        const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
         if (fd < 0) {
             if (error)
                 *error = "cannot create unix socket";
@@ -75,7 +75,7 @@ connectOnce(bool use_tcp, const std::string &host_or_path, u32 port,
                      host_or_path;
         return -1;
     }
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (fd < 0) {
         if (error)
             *error = "cannot create tcp socket";

@@ -77,7 +77,8 @@ class LockedFile
   public:
     explicit LockedFile(const std::string &path)
     {
-        fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT, 0644);
+        fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_CLOEXEC,
+                     0644);
         if (fd_ >= 0 && ::flock(fd_, LOCK_EX) != 0) {
             ::close(fd_);
             fd_ = -1;

@@ -1,6 +1,5 @@
 #include "sim/job_io.hpp"
 
-#include <fstream>
 #include <functional>
 #include <sstream>
 
@@ -18,7 +17,7 @@ constexpr const char *kSimTag = "S";
 constexpr const char *kAnaTag = "A";
 
 /**
- * First field of a worker-telemetry record in a v2 result file.
+ * First field of a worker-telemetry record in a v2 worker output.
  * Result records start with a canonical job key, and every job key
  * is prefixed ("sim|", "ana|"), so the bare token can never collide.
  */
@@ -209,7 +208,7 @@ readJobResult(FieldReader &reader, JobResult *result)
     return false;
 }
 
-/** The one kind-tag dispatch for job records (parse + file read). */
+/** The one kind-tag dispatch for job records (parse + decode). */
 bool
 readJob(FieldReader &reader, Job *job)
 {
@@ -296,28 +295,6 @@ readRecordStream(std::istream &is, const char *header,
     return true;
 }
 
-/** readRecordStream over a file, errors prefixed with the path. */
-bool
-readRecordFile(const std::string &path, const char *header,
-               const std::function<bool(FieldReader &)> &on_record,
-               std::vector<u64> *footer_numbers, std::string *error)
-{
-    std::ifstream is(path);
-    if (!is) {
-        if (error)
-            *error = path + ": cannot open";
-        return false;
-    }
-    std::string reason;
-    if (!readRecordStream(is, header, on_record, footer_numbers,
-                          &reason)) {
-        if (error)
-            *error = path + ": " + reason;
-        return false;
-    }
-    return true;
-}
-
 } // namespace
 
 const char *
@@ -395,36 +372,6 @@ decodeJobBatch(const std::string &text, std::string *error)
     return jobs;
 }
 
-bool
-writeJobFile(const std::string &path, const std::vector<Job> &jobs)
-{
-    std::ofstream os(path, std::ios::trunc);
-    if (!os)
-        return false;
-    os << encodeJobBatch(jobs);
-    os.flush();
-    return static_cast<bool>(os);
-}
-
-std::optional<std::vector<Job>>
-readJobFile(const std::string &path, std::string *error)
-{
-    std::vector<Job> jobs;
-    const bool ok = readRecordFile(
-        path, jobFileHeader(),
-        [&](FieldReader &reader) {
-            Job job;
-            if (!readJob(reader, &job))
-                return false;
-            jobs.push_back(std::move(job));
-            return true;
-        },
-        nullptr, error);
-    if (!ok)
-        return std::nullopt;
-    return jobs;
-}
-
 std::string
 encodeWorkerOutput(const WorkerOutput &output)
 {
@@ -452,13 +399,11 @@ encodeWorkerOutput(const WorkerOutput &output)
     return text;
 }
 
-namespace {
-
-/** The shared record/footer half of the WorkerOutput decoders. */
-bool
-readWorkerOutputStream(std::istream &is, WorkerOutput *output,
-                       std::string *error)
+std::optional<WorkerOutput>
+decodeWorkerOutput(const std::string &text, std::string *error)
 {
+    std::istringstream is(text);
+    WorkerOutput output;
     std::vector<u64> footer;
     const bool ok = readRecordStream(
         is, resultFileHeader(),
@@ -468,7 +413,7 @@ readWorkerOutputStream(std::istream &is, WorkerOutput *output,
                 telemetry::MetricRecord metric;
                 if (!readMetricRecord(reader, &metric))
                     return false;
-                output->metrics.push_back(std::move(metric));
+                output.metrics.push_back(std::move(metric));
                 return true;
             }
             std::string key;
@@ -477,61 +422,19 @@ readWorkerOutputStream(std::istream &is, WorkerOutput *output,
             JobResult result;
             if (!readJobResult(reader, &result) || !reader.done())
                 return false;
-            output->results.emplace_back(key, std::move(result));
+            output.results.emplace_back(key, std::move(result));
             return true;
         },
         &footer, error);
     if (!ok)
-        return false;
+        return std::nullopt;
     if (footer.size() != 3) {
         if (error)
             *error = "corrupt footer";
-        return false;
-    }
-    output->simulationsPerformed = footer[1];
-    output->analysesPerformed = footer[2];
-    return true;
-}
-
-} // namespace
-
-std::optional<WorkerOutput>
-decodeWorkerOutput(const std::string &text, std::string *error)
-{
-    std::istringstream is(text);
-    WorkerOutput output;
-    if (!readWorkerOutputStream(is, &output, error))
-        return std::nullopt;
-    return output;
-}
-
-bool
-writeResultFile(const std::string &path, const WorkerOutput &output)
-{
-    std::ofstream os(path, std::ios::trunc);
-    if (!os)
-        return false;
-    os << encodeWorkerOutput(output);
-    os.flush();
-    return static_cast<bool>(os);
-}
-
-std::optional<WorkerOutput>
-readResultFile(const std::string &path, std::string *error)
-{
-    std::ifstream is(path);
-    if (!is) {
-        if (error)
-            *error = path + ": cannot open";
         return std::nullopt;
     }
-    WorkerOutput output;
-    std::string reason;
-    if (!readWorkerOutputStream(is, &output, &reason)) {
-        if (error)
-            *error = path + ": " + reason;
-        return std::nullopt;
-    }
+    output.simulationsPerformed = footer[1];
+    output.analysesPerformed = footer[2];
     return output;
 }
 

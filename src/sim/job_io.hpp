@@ -1,19 +1,21 @@
 /**
  * @file
- * Versioned job/result files: how the process pool ships work.
+ * Versioned job batches and worker outputs: the payloads of the wire
+ * `batch` and `results` frames.
  *
- * The pool parent writes each worker's shard as a job file (every
- * `Job` field serialized, so the worker reconstructs exactly the work
- * the parent described -- same canonical field spellings as jobKey),
- * and each worker writes its results back as a result file keyed by
+ * A job batch serializes every `Job` field, so a worker reconstructs
+ * exactly the work the parent described (same canonical field
+ * spellings as jobKey); a worker output carries results keyed by
  * canonical job key, with doubles round-tripped through raw bit
  * patterns so a merged pooled batch is bit-for-bit identical to a
- * single-process one.
+ * single-process one.  The same blocks travel over the service
+ * socket and over the worker pipes (sim/wire, sim/pool).
  *
  * Both formats are corruption-checked end to end: a version header, a
  * per-record checksum, and a checksummed `end` footer carrying the
- * record count.  A truncated or tampered file parses to a clean error
- * (the pool fails that worker), never to missing or wrong results.
+ * record count.  A truncated or tampered block decodes to a clean
+ * error (the executor fails that worker), never to missing or wrong
+ * results.
  */
 
 #ifndef VEGETA_SIM_JOB_IO_HPP
@@ -28,10 +30,10 @@
 
 namespace vegeta::sim {
 
-/** Version header of a pool job (shard) file. */
+/** Version header of an encoded job batch. */
 const char *jobFileHeader();
 
-/** Version header of a pool result file. */
+/** Version header of an encoded worker output. */
 const char *resultFileHeader();
 
 /** One job as a checksummed record line (kind-tagged). */
@@ -42,9 +44,8 @@ std::optional<Job> parseJob(const std::string &line);
 
 /**
  * A job batch as one self-delimiting text block: the job-file header,
- * one record per job, and the checksummed end-count footer.  This is
- * both the byte content of a pool shard file and the payload of a
- * wire `batch` frame -- the two transports ship identical bytes.
+ * one record per job, and the checksummed end-count footer -- the
+ * payload of a wire `batch` frame.
  */
 std::string encodeJobBatch(const std::vector<Job> &jobs);
 
@@ -56,22 +57,10 @@ std::string encodeJobBatch(const std::vector<Job> &jobs);
 std::optional<std::vector<Job>>
 decodeJobBatch(const std::string &text, std::string *error);
 
-/** Write a shard of jobs; false when the file cannot be written. */
-bool writeJobFile(const std::string &path,
-                  const std::vector<Job> &jobs);
-
-/**
- * Read a shard back.  Any defect -- missing file, wrong header,
- * corrupt or truncated record, bad footer count -- yields nullopt
- * with a one-line reason in @p error.
- */
-std::optional<std::vector<Job>>
-readJobFile(const std::string &path, std::string *error);
-
-/** What one pool worker hands back to the parent. */
+/** What one worker hands back to the parent. */
 struct WorkerOutput
 {
-    /** Canonical job key -> result, in shard order. */
+    /** Canonical job key -> result, in batch order. */
     std::vector<std::pair<std::string, JobResult>> results;
 
     /** Core-model simulations the worker actually performed. */
@@ -86,29 +75,21 @@ struct WorkerOutput
      * own registry for merged post-run reports; the service replaces
      * its per-worker copy on every results frame.  Always empty in a
      * `VEGETA_NO_TELEMETRY` build -- the records stay decodable, so
-     * the two builds read each other's files.
+     * the two builds read each other's outputs.
      */
     std::vector<telemetry::MetricRecord> metrics;
 };
 
 /**
  * A worker's output as one self-delimiting text block (result-file
- * header, key+result records, counter footer) -- the byte content of
- * a pool result file and the payload of a wire `results` frame.
+ * header, key+result records, counter footer) -- the payload of a
+ * wire `results` frame.
  */
 std::string encodeWorkerOutput(const WorkerOutput &output);
 
 /** Decode an encodeWorkerOutput block (error contract as above). */
 std::optional<WorkerOutput>
 decodeWorkerOutput(const std::string &text, std::string *error);
-
-/** Write a worker's results; false when the file cannot be written. */
-bool writeResultFile(const std::string &path,
-                     const WorkerOutput &output);
-
-/** Read a result file back (same error contract as readJobFile). */
-std::optional<WorkerOutput>
-readResultFile(const std::string &path, std::string *error);
 
 } // namespace vegeta::sim
 

@@ -1,73 +1,32 @@
 #include "sim/pool.hpp"
 
+#include <fcntl.h>
+#include <signal.h>
+#include <spawn.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <cstring>
-#include <filesystem>
 #include <iostream>
 #include <map>
 #include <thread>
-#include <unordered_map>
 
 #include "sim/job_io.hpp"
 #include "sim/session.hpp"
-#include "sim/telemetry.hpp"
+#include "sim/wire.hpp"
 
 namespace vegeta::sim {
 
 namespace {
 
-namespace fs = std::filesystem;
-
-struct Shard
+void
+closeFd(int &fd)
 {
-    std::vector<Job> jobs;
-    std::vector<std::string> keys;
-    std::string jobFile;
-    std::string resultFile;
-    pid_t pid = -1;
-};
-
-/** mkdtemp under the system temp dir ("" on failure). */
-std::string
-freshWorkDir()
-{
-    std::error_code ec;
-    fs::path base = fs::temp_directory_path(ec);
-    if (ec)
-        base = "/tmp";
-    std::string pattern =
-        (base / "vegeta-pool-XXXXXX").string();
-    if (!mkdtemp(pattern.data()))
-        return "";
-    return pattern;
-}
-
-/** fork/exec one worker; returns the pid (or -1). */
-pid_t
-spawnWorker(const std::vector<std::string> &command)
-{
-    std::vector<char *> argv;
-    argv.reserve(command.size() + 1);
-    for (const auto &arg : command)
-        argv.push_back(const_cast<char *>(arg.c_str()));
-    argv.push_back(nullptr);
-
-    const pid_t pid = fork();
-    if (pid < 0)
-        return -1;
-    if (pid == 0) {
-        execv(argv[0], argv.data());
-        // exec failed: report on the inherited stderr and die with
-        // the shell's "command not found" convention.
-        std::cerr << "vegeta pool worker: cannot exec " << command[0]
-                  << ": " << std::strerror(errno) << "\n";
-        _exit(127);
+    if (fd >= 0) {
+        ::close(fd);
+        fd = -1;
     }
-    return pid;
 }
 
 } // namespace
@@ -87,19 +46,231 @@ currentExecutablePath()
 u32
 defaultPoolCrossoverJobs()
 {
-    // Re-read off the committed BENCH_replay trajectory (entry
-    // "pr7-lane-replay"): its pool_crossover_measured_jobs row is 0,
-    // meaning the bench's probe over 2..16 unique jobs never found a
-    // batch size where the process pool beat the in-process fallback
-    // (fork/exec plus shard-file costs dominate every probed size),
-    // and its pool_crossover_unique_jobs row records 128 as the
-    // default that was in effect.  With no measured win below the
-    // probe ceiling, the crossover stays at 128 -- the low-hundreds
-    // scale where per-worker setup provably amortizes -- and is
-    // conservative on purpose: the in-process fallback is never
-    // slower on batches this size, and both paths are bit-identical.
+    // Re-read off the committed BENCH_replay trajectory: the
+    // pool_crossover_measured_jobs row has been 0 in every entry
+    // that records it, meaning the bench's probe over 2..16 unique
+    // jobs never found a batch size where the process pool beat the
+    // in-process fallback (worker spawn, session start-up and frame
+    // round trips dominate every probed size), and the
+    // pool_crossover_unique_jobs row records 128 as the default in
+    // effect.  With no measured win below the probe ceiling, the
+    // crossover stays at 128 -- the low-hundreds scale where
+    // per-worker setup provably amortizes -- and is conservative on
+    // purpose: the in-process fallback is never slower on batches
+    // this size, and both paths are bit-identical.
     return 128;
 }
+
+KeyedBatch
+keyBatch(const std::vector<Job> &jobs)
+{
+    KeyedBatch keyed;
+    std::vector<std::string> keys;
+    keys.reserve(jobs.size());
+    // key -> its first job, then (below) -> its position in keys
+    std::map<std::string, std::size_t> unique;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        keys.push_back(jobKey(jobs[i]));
+        unique.emplace(keys.back(), i);
+    }
+    keyed.keys.reserve(unique.size());
+    keyed.first.reserve(unique.size());
+    for (auto &[key, index] : unique) {
+        keyed.first.push_back(index);
+        index = keyed.keys.size();
+        keyed.keys.push_back(key);
+    }
+    keyed.slot.reserve(jobs.size());
+    for (const auto &key : keys)
+        keyed.slot.push_back(unique.find(key)->second);
+    return keyed;
+}
+
+// --- WorkerSet -------------------------------------------------------
+
+std::unique_ptr<WorkerSet>
+WorkerSet::spawn(u32 workers, const std::string &cache_dir,
+                 u32 threads, std::vector<std::string> command,
+                 std::string *error)
+{
+    auto fail = [&](const std::string &reason) {
+        if (error)
+            *error = reason;
+        return nullptr;
+    };
+    if (workers == 0)
+        return fail("need at least one worker");
+    if (command.empty()) {
+        const std::string self = currentExecutablePath();
+        if (self.empty())
+            return fail("cannot resolve own executable for workers");
+        command = {self, "worker"};
+    }
+    // The default divides the machine instead of letting every
+    // worker claim all of it (N workers x hardware threads would
+    // oversubscribe the CPU N-fold).
+    if (threads == 0) {
+        const unsigned hw = std::thread::hardware_concurrency();
+        threads = std::max(1u, static_cast<u32>(hw) / workers);
+    }
+    command.insert(command.end(),
+                   {"--threads", std::to_string(threads)});
+    if (!cache_dir.empty())
+        command.insert(command.end(), {"--cache-dir", cache_dir});
+    std::vector<char *> argv;
+    for (auto &arg : command)
+        argv.push_back(arg.data());
+    argv.push_back(nullptr);
+
+    // A worker that died must be a write error, not this process's
+    // death: pipes cannot opt out of SIGPIPE per call the way
+    // sockets do.
+    ::signal(SIGPIPE, SIG_IGN);
+
+    telemetry::Span spawn_span("pool.spawn", workers);
+    std::unique_ptr<WorkerSet> set(new WorkerSet());
+    for (u32 w = 0; w < workers; ++w) {
+        // Every pipe end is close-on-exec; the dup2s below clear it
+        // on the worker's own two ends only, so no worker inherits a
+        // sibling's pipes (it would never see EOF on shutdown).
+        int feed[2], reply[2];
+        if (::pipe2(feed, O_CLOEXEC) != 0)
+            return fail("cannot create worker pipes");
+        if (::pipe2(reply, O_CLOEXEC) != 0) {
+            ::close(feed[0]);
+            ::close(feed[1]);
+            return fail("cannot create worker pipes");
+        }
+        posix_spawn_file_actions_t actions;
+        posix_spawn_file_actions_init(&actions);
+        posix_spawn_file_actions_adddup2(&actions, feed[0],
+                                         STDIN_FILENO);
+        posix_spawn_file_actions_adddup2(&actions, reply[1],
+                                         STDOUT_FILENO);
+        Worker worker;
+        const int rc = ::posix_spawn(&worker.pid, argv[0], &actions,
+                                     nullptr, argv.data(), environ);
+        posix_spawn_file_actions_destroy(&actions);
+        ::close(feed[0]);
+        ::close(reply[1]);
+        worker.feedFd = feed[1];
+        worker.replyFd = reply[0];
+        if (rc != 0) {
+            closeFd(worker.feedFd);
+            closeFd(worker.replyFd);
+            return fail("cannot spawn worker " + std::to_string(w) +
+                        " (" + command[0] + "): " + std::strerror(rc));
+        }
+        set->workers_.push_back(worker);
+    }
+    return set;
+}
+
+WorkerSet::~WorkerSet()
+{
+    // EOF on the feed pipe is a worker's shutdown signal; closing the
+    // reply pipe too unblocks a worker stuck writing to it.  Reap
+    // every child so no zombie or orphan outlives the set.
+    for (auto &worker : workers_) {
+        closeFd(worker.feedFd);
+        closeFd(worker.replyFd);
+    }
+    for (const auto &worker : workers_) {
+        int status = 0;
+        ::waitpid(worker.pid, &status, 0);
+    }
+}
+
+WorkerBatch
+WorkerSet::run(const std::vector<Job> &jobs, const KeyedBatch &keyed)
+{
+    WorkerBatch out;
+    const std::size_t unique = keyed.keys.size();
+    const u32 used = static_cast<u32>(
+        std::min<std::size_t>(workers_.size(), unique));
+
+    // Deal the sorted keys round-robin: unique job u goes to worker
+    // u % used, at position u / used of its slice.
+    std::vector<std::vector<Job>> slices(used);
+    for (std::size_t u = 0; u < unique; ++u)
+        slices[u % used].push_back(jobs[keyed.first[u]]);
+    static const telemetry::MetricId slices_id =
+        telemetry::counterId("pool.slices");
+    telemetry::add(slices_id, used);
+
+    auto fail = [&](u32 w, const std::string &reason) {
+        if (out.error.empty())
+            out.error = "worker " + std::to_string(w) + reason;
+    };
+
+    // Stop sending at the first unreachable worker, but read back an
+    // answer from EVERY worker that was sent a frame: an unread
+    // answer would sit in its pipe and misalign the next batch.
+    u32 sent = 0;
+    std::string io_error;
+    {
+        telemetry::Span send_span("pool.send", used);
+        for (; sent < used; ++sent) {
+            if (!wire::writeFrame(workers_[sent].feedFd,
+                                  wire::FrameType::Batch,
+                                  encodeJobBatch(slices[sent]),
+                                  &io_error)) {
+                fail(sent, " unreachable: " + io_error);
+                break;
+            }
+        }
+    }
+
+    telemetry::Span collect_span("pool.collect", sent);
+    out.results.resize(unique);
+    for (u32 w = 0; w < sent; ++w) {
+        wire::Frame frame;
+        if (!wire::readFrame(workers_[w].replyFd, &frame, -1,
+                             &io_error)) {
+            fail(w, " died: " + io_error);
+            continue;
+        }
+        if (frame.type == wire::FrameType::Error) {
+            fail(w, ": " + frame.payload);
+            continue;
+        }
+        if (frame.type != wire::FrameType::Results) {
+            fail(w, ": unexpected frame");
+            continue;
+        }
+        auto output = decodeWorkerOutput(frame.payload, &io_error);
+        if (!output) {
+            fail(w, ": " + io_error);
+            continue;
+        }
+        // A worker answers its slice in order, one record per job;
+        // anything else is a missing or foreign result.
+        bool answered = output->results.size() == slices[w].size();
+        for (std::size_t j = 0; answered && j < slices[w].size();
+             ++j) {
+            const std::size_t u = j * used + w;
+            answered = output->results[j].first == keyed.keys[u];
+            if (answered)
+                out.results[u] = std::move(output->results[j].second);
+        }
+        if (!answered) {
+            fail(w, ": missing result");
+            continue;
+        }
+        out.simulationsPerformed += output->simulationsPerformed;
+        out.analysesPerformed += output->analysesPerformed;
+        out.replies.push_back(
+            {w, slices[w].size(), std::move(output->metrics)});
+    }
+    if (!out.error.empty()) {
+        out.results.clear();
+        return out;
+    }
+    out.ok = true;
+    return out;
+}
+
+// --- ProcessPool -----------------------------------------------------
 
 ProcessPool::ProcessPool(PoolOptions options)
     : options_(std::move(options))
@@ -122,7 +293,6 @@ ProcessPool::run(const Session &session,
     if (options_.workers == 0)
         return fail("pool needs at least one worker");
 
-    out.results.resize(jobs.size());
     if (jobs.empty()) {
         out.ok = true;
         return out;
@@ -135,28 +305,17 @@ ProcessPool::run(const Session &session,
             return fail("job " + std::to_string(i) + ": " + *error);
     }
 
-    // Dedupe by canonical key (first occurrence carries the job),
-    // then shard the SORTED key set round-robin: the assignment is a
-    // pure function of the batch contents, independent of argument
-    // order, timing, or worker count.  Keys are serialized once per
-    // job and reused by the merge below.
-    std::vector<std::string> keys;
-    keys.reserve(jobs.size());
-    std::map<std::string, std::size_t> unique; // sorted by key
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        keys.push_back(jobKey(jobs[i]));
-        unique.emplace(keys.back(), i);
-    }
-    out.stats.uniqueJobs = unique.size();
+    const KeyedBatch keyed = keyBatch(jobs);
+    out.stats.uniqueJobs = keyed.keys.size();
 
     // Batch-size planner: small batches skip the process pool
     // entirely.  A fresh builtin Session with the same caches the
     // workers would attach keeps the result (and the cache file)
-    // bit-identical to the sharded path.
+    // bit-identical to the pooled path.
     const u32 min_pooled = options_.minPooledJobs == 0
                                ? defaultPoolCrossoverJobs()
                                : options_.minPooledJobs;
-    if (unique.size() < min_pooled) {
+    if (keyed.keys.size() < min_pooled) {
         static const telemetry::MetricId fallback_id =
             telemetry::counterId("pool.fallback");
         telemetry::add(fallback_id, 1);
@@ -177,255 +336,65 @@ ProcessPool::run(const Session &session,
         return out;
     }
 
-    const u32 workers = std::min<u32>(
-        options_.workers, static_cast<u32>(unique.size()));
+    std::string error;
+    const auto workers = WorkerSet::spawn(
+        std::min<u32>(options_.workers,
+                      static_cast<u32>(keyed.keys.size())),
+        options_.cacheDir, options_.threadsPerWorker,
+        options_.workerCommand, &error);
+    if (!workers)
+        return fail(error);
+    out.stats.workersSpawned = workers->size();
 
-    std::vector<std::string> command = options_.workerCommand;
-    if (command.empty()) {
-        const std::string self = currentExecutablePath();
-        if (self.empty())
-            return fail("cannot resolve own executable for workers");
-        command = {self, "worker"};
-    }
-
-    std::string work_dir = options_.workDir;
-    bool own_work_dir = false;
-    if (work_dir.empty()) {
-        work_dir = freshWorkDir();
-        own_work_dir = true;
-        if (work_dir.empty())
-            return fail("cannot create pool work directory");
-    } else {
-        std::error_code ec;
-        fs::create_directories(work_dir, ec);
-        if (ec || !fs::is_directory(work_dir))
-            return fail("cannot create pool work directory: " +
-                        work_dir);
-    }
-    // Deal the sorted keys round-robin into shards.
-    std::vector<Shard> shards(workers);
-    auto cleanup = [&]() {
-        if (options_.keepFiles)
-            return;
-        std::error_code ec;
-        if (own_work_dir) {
-            fs::remove_all(work_dir, ec);
-            return;
-        }
-        for (const auto &shard : shards) {
-            fs::remove(shard.jobFile, ec);
-            fs::remove(shard.resultFile, ec);
-        }
-    };
-    {
-        u32 next = 0;
-        for (const auto &[key, index] : unique) {
-            shards[next].keys.push_back(key);
-            shards[next].jobs.push_back(jobs[index]);
-            next = (next + 1) % workers;
-        }
-    }
-
-    static const telemetry::MetricId shards_id =
-        telemetry::counterId("pool.shards");
-    telemetry::add(shards_id, workers);
-
-    // Write every shard file before spawning anything: a write
-    // failure must not leave half a pool running.
-    {
-        telemetry::Span write_span("pool.shard.write", workers);
-        for (u32 w = 0; w < workers; ++w) {
-            const fs::path base = fs::path(work_dir);
-            shards[w].jobFile =
-                (base / ("shard-" + std::to_string(w) + ".jobs"))
-                    .string();
-            shards[w].resultFile =
-                (base / ("shard-" + std::to_string(w) + ".results"))
-                    .string();
-            if (!writeJobFile(shards[w].jobFile, shards[w].jobs)) {
-                cleanup();
-                return fail("cannot write shard file: " +
-                            shards[w].jobFile);
-            }
-        }
-    }
-
-    // Default worker thread count divides the machine instead of
-    // letting every worker claim all of it (N workers x hardware
-    // threads would oversubscribe the CPU N-fold).
-    u32 worker_threads = options_.threadsPerWorker;
-    if (worker_threads == 0) {
-        const unsigned hw = std::thread::hardware_concurrency();
-        worker_threads = std::max(1u, static_cast<u32>(hw) / workers);
-    }
-
-    telemetry::Span spawn_span("pool.spawn", workers);
-    for (u32 w = 0; w < workers; ++w) {
-        std::vector<std::string> argv = command;
-        argv.insert(argv.end(), {"--jobs", shards[w].jobFile, "--out",
-                                 shards[w].resultFile});
-        if (!options_.cacheDir.empty())
-            argv.insert(argv.end(),
-                        {"--cache-dir", options_.cacheDir});
-        argv.insert(argv.end(),
-                    {"--threads", std::to_string(worker_threads)});
-        shards[w].pid = spawnWorker(argv);
-        if (shards[w].pid < 0) {
-            // Reap whatever already started before reporting.
-            for (u32 prev = 0; prev < w; ++prev) {
-                int status = 0;
-                waitpid(shards[prev].pid, &status, 0);
-            }
-            cleanup();
-            return fail("cannot fork worker " + std::to_string(w));
-        }
-    }
-    out.stats.workersSpawned = workers;
-    spawn_span.close();
-
-    // Collect every worker before judging any: no zombie is left
-    // behind even when an early worker failed.  The wait span covers
-    // the full worker lifetime as the parent sees it: every shard's
-    // fork -> load -> replay -> encode happens inside it, and the
-    // worker-side phase timers ride back in the shard files.
-    telemetry::Span wait_span("pool.shard.wait", workers);
-    std::string worker_error;
-    for (u32 w = 0; w < workers; ++w) {
-        int status = 0;
-        if (waitpid(shards[w].pid, &status, 0) < 0) {
-            if (worker_error.empty())
-                worker_error =
-                    "worker " + std::to_string(w) + ": wait failed";
-            continue;
-        }
-        if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-            if (worker_error.empty())
-                worker_error =
-                    "worker " + std::to_string(w) +
-                    " failed (exit status " +
-                    std::to_string(WIFEXITED(status)
-                                       ? WEXITSTATUS(status)
-                                       : -1) +
-                    ")";
-        }
-    }
-    wait_span.close();
-    if (!worker_error.empty()) {
-        cleanup();
-        return fail(worker_error);
-    }
-
-    // Merge: every shard key must come back exactly once; the output
-    // vector is filled in original batch order through the dedupe
-    // map, so the merge is bit-for-bit the single-process answer.
-    telemetry::Span merge_span("pool.merge", workers);
-    std::unordered_map<std::string, JobResult> by_key;
-    by_key.reserve(unique.size());
-    for (u32 w = 0; w < workers; ++w) {
-        std::string error;
-        auto output = readResultFile(shards[w].resultFile, &error);
-        if (!output) {
-            cleanup();
-            return fail("worker " + std::to_string(w) + ": " + error);
-        }
-        out.stats.simulationsPerformed += output->simulationsPerformed;
-        out.stats.analysesPerformed += output->analysesPerformed;
-        // Fold each worker's cumulative snapshot into this process so
-        // a post-run metrics report covers the whole pool.  Workers
-        // are fresh processes, so one absorb per shard never double
-        // counts.
-        telemetry::absorb(output->metrics);
-        for (auto &[key, result] : output->results) {
-            if (!by_key.emplace(key, std::move(result)).second) {
-                cleanup();
-                return fail("worker " + std::to_string(w) +
-                            ": duplicate result key");
-            }
-        }
-        for (const auto &key : shards[w].keys) {
-            if (!by_key.count(key)) {
-                cleanup();
-                return fail("worker " + std::to_string(w) +
-                            ": missing result for a shard job");
-            }
-        }
-    }
-    cleanup();
-
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-        out.results[i] = by_key.find(keys[i])->second;
+    WorkerBatch batch = workers->run(jobs, keyed);
+    // Fold each worker's snapshot into this process so a post-run
+    // metrics report covers the whole pool.  These workers are fresh
+    // processes serving one batch, so one absorb each never double
+    // counts.
+    for (const auto &reply : batch.replies)
+        telemetry::absorb(reply.metrics);
+    if (!batch.ok)
+        return fail(batch.error);
+    out.stats.simulationsPerformed = batch.simulationsPerformed;
+    out.stats.analysesPerformed = batch.analysesPerformed;
+    out.results.reserve(jobs.size());
+    for (const std::size_t u : keyed.slot)
+        out.results.push_back(batch.results[u]);
     out.ok = true;
     return out;
 }
 
+// --- the worker ------------------------------------------------------
+
 int
 poolWorkerMain(const std::vector<std::string> &args)
 {
-    std::string jobs_path, out_path, cache_dir;
+    std::string cache_dir;
     u32 threads = 0;
 
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
-        auto value = [&]() -> const std::string * {
-            if (i + 1 >= args.size()) {
-                std::cerr << "pool worker: " << arg
-                          << " needs a value\n";
-                return nullptr;
-            }
-            return &args[++i];
-        };
-        if (arg == "--jobs") {
-            const auto *v = value();
-            if (!v)
-                return 2;
-            jobs_path = *v;
-        } else if (arg == "--out") {
-            const auto *v = value();
-            if (!v)
-                return 2;
-            out_path = *v;
-        } else if (arg == "--cache-dir") {
-            const auto *v = value();
-            if (!v)
-                return 2;
-            cache_dir = *v;
-        } else if (arg == "--threads") {
-            const auto *v = value();
-            if (!v)
-                return 2;
-            const auto parsed = parseU32(*v);
-            if (!parsed) {
-                std::cerr << "pool worker: bad --threads value '"
-                          << *v << "'\n";
-                return 2;
-            }
-            threads = *parsed;
-        } else {
+        if (arg != "--cache-dir" && arg != "--threads") {
             std::cerr << "pool worker: unknown option " << arg << "\n";
             return 2;
         }
+        if (i + 1 >= args.size()) {
+            std::cerr << "pool worker: " << arg << " needs a value\n";
+            return 2;
+        }
+        const std::string &value = args[++i];
+        if (arg == "--cache-dir") {
+            cache_dir = value;
+            continue;
+        }
+        const auto parsed = parseU32(value);
+        if (!parsed) {
+            std::cerr << "pool worker: bad --threads value '" << value
+                      << "'\n";
+            return 2;
+        }
+        threads = *parsed;
     }
-    if (jobs_path.empty() || out_path.empty()) {
-        std::cerr << "pool worker: --jobs and --out are required\n";
-        return 2;
-    }
-
-    static const telemetry::MetricId load_timer =
-        telemetry::timerId("worker.load");
-    static const telemetry::MetricId replay_timer =
-        telemetry::timerId("worker.replay");
-    static const telemetry::MetricId encode_timer =
-        telemetry::timerId("worker.encode");
-
-    std::string error;
-    const u64 load_start = telemetry::nowNs();
-    const auto jobs = readJobFile(jobs_path, &error);
-    if (!jobs) {
-        std::cerr << "pool worker: " << error << "\n";
-        return 3;
-    }
-    telemetry::recordNs(load_timer,
-                        telemetry::nowNs() - load_start);
 
     Session session;
     session.enableCache();
@@ -437,44 +406,92 @@ poolWorkerMain(const std::vector<std::string> &args)
             return 4;
         }
     }
-    for (const auto &job : *jobs) {
-        if (const auto job_error = session.jobError(job)) {
-            std::cerr << "pool worker: bad job: " << *job_error
-                      << "\n";
-            return 5;
+
+    // Frames own the stdout pipe: anything else this process prints
+    // to stdout goes to stderr instead of corrupting the stream.
+    const int reply_fd = ::fcntl(STDOUT_FILENO, F_DUPFD_CLOEXEC, 3);
+    if (reply_fd < 0 || ::dup2(STDERR_FILENO, STDOUT_FILENO) < 0) {
+        std::cerr << "pool worker: cannot claim stdout\n";
+        return 3;
+    }
+
+    static const telemetry::MetricId load_timer =
+        telemetry::timerId("worker.load");
+    static const telemetry::MetricId replay_timer =
+        telemetry::timerId("worker.replay");
+    static const telemetry::MetricId encode_timer =
+        telemetry::timerId("worker.encode");
+
+    for (;;) {
+        wire::Frame frame;
+        std::string error;
+        bool clean_eof = false;
+        if (!wire::readFrame(STDIN_FILENO, &frame, -1, &error,
+                             &clean_eof)) {
+            if (clean_eof)
+                return 0; // parent closed the feed: clean shutdown
+            std::cerr << "pool worker: " << error << "\n";
+            return 3;
+        }
+
+        // One frame in, one frame out: a rejected frame is answered
+        // with an error frame so the pipe stays aligned.
+        const u64 load_start = telemetry::nowNs();
+        std::optional<std::vector<Job>> jobs;
+        if (frame.type != wire::FrameType::Batch)
+            error = std::string("unexpected frame: ") +
+                    wire::frameTypeName(frame.type);
+        else
+            jobs = decodeJobBatch(frame.payload, &error);
+        for (std::size_t i = 0; jobs && i < jobs->size(); ++i) {
+            if (const auto reason = session.jobError((*jobs)[i])) {
+                error = "bad job: " + *reason;
+                jobs.reset();
+            }
+        }
+        telemetry::recordNs(load_timer,
+                            telemetry::nowNs() - load_start);
+        if (!jobs) {
+            if (!wire::writeFrame(reply_fd, wire::FrameType::Error,
+                                  error, &error))
+                return 3;
+            continue;
+        }
+
+        const u64 sims0 = session.simulationsPerformed();
+        const u64 anas0 = session.analysesPerformed();
+        const u64 replay_start = telemetry::nowNs();
+        const auto results = session.runBatch(*jobs, threads);
+        telemetry::recordNs(replay_timer,
+                            telemetry::nowNs() - replay_start);
+
+        WorkerOutput output;
+        output.results.reserve(results.size());
+        for (std::size_t i = 0; i < results.size(); ++i)
+            output.results.emplace_back(jobKey((*jobs)[i]),
+                                        results[i]);
+        output.simulationsPerformed =
+            session.simulationsPerformed() - sims0;
+        output.analysesPerformed = session.analysesPerformed() - anas0;
+#ifndef VEGETA_NO_TELEMETRY
+        // Time a dry-run encode first, so the cumulative snapshot
+        // shipped in this frame covers every phase of this batch.
+        {
+            const u64 encode_start = telemetry::nowNs();
+            const std::string probe = encodeWorkerOutput(output);
+            telemetry::recordNs(encode_timer,
+                                telemetry::nowNs() - encode_start);
+        }
+        output.metrics = telemetry::snapshot().metrics;
+#else
+        (void)encode_timer;
+#endif
+        if (!wire::writeFrame(reply_fd, wire::FrameType::Results,
+                              encodeWorkerOutput(output), &error)) {
+            std::cerr << "pool worker: " << error << "\n";
+            return 3;
         }
     }
-
-    const u64 replay_start = telemetry::nowNs();
-    const auto results = session.runBatch(*jobs, threads);
-    telemetry::recordNs(replay_timer,
-                        telemetry::nowNs() - replay_start);
-
-    WorkerOutput output;
-    output.results.reserve(results.size());
-    for (std::size_t i = 0; i < results.size(); ++i)
-        output.results.emplace_back(jobKey((*jobs)[i]), results[i]);
-    output.simulationsPerformed = session.simulationsPerformed();
-    output.analysesPerformed = session.analysesPerformed();
-#ifndef VEGETA_NO_TELEMETRY
-    // Sample the encode cost on a dry run first, so the snapshot
-    // shipped in the file covers every worker phase (load, replay,
-    // encode); the real write below re-encodes with metrics attached.
-    {
-        const u64 encode_start = telemetry::nowNs();
-        const std::string probe = encodeWorkerOutput(output);
-        telemetry::recordNs(encode_timer,
-                            telemetry::nowNs() - encode_start);
-    }
-    output.metrics = telemetry::snapshot().metrics;
-#else
-    (void)encode_timer;
-#endif
-    if (!writeResultFile(out_path, output)) {
-        std::cerr << "pool worker: cannot write " << out_path << "\n";
-        return 6;
-    }
-    return 0;
 }
 
 } // namespace vegeta::sim

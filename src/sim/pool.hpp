@@ -1,50 +1,159 @@
 /**
  * @file
- * Process-pool sweep executor: sharded multi-process runBatch.
+ * The out-of-process executor: exec'd pipe workers, shared by the
+ * process pool and the simulation service.
  *
- * Session::runBatch parallelizes over threads inside one process; the
- * ProcessPool shards one job batch over N worker *processes*, the
+ * Session::runBatch parallelizes over threads inside one process; a
+ * WorkerSet spreads one job batch over N worker *processes*, the
  * scaling regime where thread-level parallelism stops paying (per-core
  * scaling cliffs and shared-allocator/LLC contention -- "When More
  * Cores Hurts") and where the streaming replayer's flat per-process
- * memory makes workers cheap.
+ * memory makes workers cheap.  It has two callers:
  *
- * The contract mirrors runBatch exactly: the merged result vector is
- * in original batch order and bit-for-bit identical to a
- * single-process run for ANY worker count.  That falls out of the
- * design:
+ *   - ProcessPool (`sweep --workers N`) spawns an ephemeral WorkerSet
+ *     for one run() and reaps it when the batch is merged;
+ *   - SimServer (`serve --service-workers N`) holds one WorkerSet for
+ *     its lifetime and feeds it every dispatched batch.
  *
- *   - jobs are deduped by canonical jobKey, the deduped key set is
- *     sorted, and keys are dealt round-robin to workers -- the shard
- *     assignment is a pure function of the batch, never of timing;
- *   - each shard ships through a versioned, checksummed job file
- *     (sim/job_io) and comes back as a result file keyed by jobKey,
+ * The contract mirrors runBatch exactly: merged results are
+ * bit-for-bit identical to a single-process run for ANY worker count.
+ * That falls out of the design:
+ *
+ *   - jobs are deduped by canonical jobKey, the unique key set is
+ *     sorted, and keys are dealt round-robin to workers -- each
+ *     worker's slice is a pure function of the batch, never of timing;
+ *   - each slice ships as one sim/wire `batch` frame (sim/job_io
+ *     records) and comes back as one `results` frame keyed by jobKey,
  *     with doubles as raw bit patterns;
  *   - workers attach the shared --cache-dir, so a warm pool performs
  *     zero replays and a cold pool populates the cache once across
  *     all workers (the disk cache's locked first-insert-wins append
  *     keeps concurrent writers safe).
  *
- * Workers are fork/exec of the pool's own binary re-entering through
- * a hidden `worker` argv token (simulate_cli wires this up as the
- * hidden `simulate_cli worker` subcommand; test and bench binaries
- * dispatch to poolWorkerMain from their own main()).  Worker failures
- * -- non-zero exit, corrupt or truncated shard/result files, missing
- * keys -- surface as one clean per-worker error, never as wrong or
- * silently missing results.
+ * Workers are fork/exec of a worker command -- by default this
+ * process's own binary re-entering through a hidden `worker` argv
+ * token (simulate_cli wires this up as the hidden `simulate_cli
+ * worker` subcommand; test and bench binaries dispatch to
+ * poolWorkerMain from their own main()).  A worker reads `batch`
+ * frames on its stdin and answers exactly one `results` or `error`
+ * frame per frame on its stdout until EOF.  Every descriptor the
+ * library opens is close-on-exec, so a worker holds its own two pipe
+ * ends and nothing else: no sibling's pipes, no listen socket.
+ * Worker failures -- a dead worker, a corrupt frame, missing keys --
+ * surface as one clean per-worker error, never as wrong or silently
+ * missing results.
  */
 
 #ifndef VEGETA_SIM_POOL_HPP
 #define VEGETA_SIM_POOL_HPP
 
+#include <sys/types.h>
+
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "sim/job.hpp"
+#include "sim/telemetry.hpp"
 
 namespace vegeta::sim {
 
 class Session;
+
+/** A job batch deduplicated by canonical jobKey. */
+struct KeyedBatch
+{
+    /** The unique job keys, sorted. */
+    std::vector<std::string> keys;
+
+    /** first[u]: index of the first job whose key is keys[u]. */
+    std::vector<std::size_t> first;
+
+    /** slot[i]: position of jobs[i]'s key in keys. */
+    std::vector<std::size_t> slot;
+};
+
+/** Key and dedupe @p jobs: the one dedupe the executor deals from. */
+KeyedBatch keyBatch(const std::vector<Job> &jobs);
+
+/** One worker's answer to its slice of a batch. */
+struct WorkerReply
+{
+    u32 worker = 0;
+
+    /** Unique jobs in the slice. */
+    u64 jobs = 0;
+
+    /** The worker's cumulative telemetry snapshot. */
+    std::vector<telemetry::MetricRecord> metrics;
+};
+
+/** Outcome of one WorkerSet::run. */
+struct WorkerBatch
+{
+    bool ok = false;
+
+    /** One-line reason when !ok ("" otherwise). */
+    std::string error;
+
+    /** results[u] answers KeyedBatch::keys[u]; empty when !ok. */
+    std::vector<JobResult> results;
+
+    /** Work the workers actually performed (summed). */
+    u64 simulationsPerformed = 0;
+    u64 analysesPerformed = 0;
+
+    /** Every worker that answered, in worker order. */
+    std::vector<WorkerReply> replies;
+};
+
+/** N exec'd workers, each fed sim/wire frames over two pipes. */
+class WorkerSet
+{
+  public:
+    /**
+     * Spawn @p workers workers running @p command (empty = this
+     * executable plus the hidden "worker" token) with `--threads T`
+     * (0 divides the machine: max(1, hardware_concurrency /
+     * workers)) and `--cache-dir` when @p cache_dir is non-empty.
+     * Null with a one-line reason on failure; anything already
+     * spawned is reaped first.
+     */
+    static std::unique_ptr<WorkerSet>
+    spawn(u32 workers, const std::string &cache_dir, u32 threads,
+          std::vector<std::string> command, std::string *error);
+
+    /** Closes every feed pipe (workers exit on EOF) and reaps. */
+    ~WorkerSet();
+
+    WorkerSet(const WorkerSet &) = delete;
+    WorkerSet &operator=(const WorkerSet &) = delete;
+
+    u32 size() const { return static_cast<u32>(workers_.size()); }
+
+    /**
+     * Deal @p keyed's unique jobs round-robin over the workers, send
+     * each its slice as one `batch` frame, and merge the `results`
+     * frames by key.  Even when the batch fails, every worker that
+     * was sent a frame has its answer read back, so each pipe stays
+     * one frame in, one frame out.  Not thread-safe: one run at a
+     * time.
+     */
+    WorkerBatch run(const std::vector<Job> &jobs,
+                    const KeyedBatch &keyed);
+
+  private:
+    struct Worker
+    {
+        pid_t pid = -1;
+        int feedFd = -1;  ///< parent writes batch frames here
+        int replyFd = -1; ///< parent reads answer frames here
+    };
+
+    WorkerSet() = default;
+
+    std::vector<Worker> workers_;
+};
 
 /** How a ProcessPool runs one batch. */
 struct PoolOptions
@@ -71,17 +180,18 @@ struct PoolOptions
      */
     std::vector<std::string> workerCommand;
 
-    /** Directory for shard/result files ("" = a fresh temp dir). */
+    /**
+     * Unused.  Workers exchange frames over pipes and a pool run
+     * writes no files; the field only keeps existing callers that
+     * still assign it compiling.
+     */
     std::string workDir;
-
-    /** Keep the shard/result files for debugging. */
-    bool keepFiles = false;
 
     /**
      * Batch-size planner: batches with fewer UNIQUE jobs than this
      * run on an in-process fallback (a fresh builtin Session with
      * the same caches the workers would attach) instead of paying
-     * fork/exec + shard-file overhead that the committed trajectory
+     * worker spawn and frame overhead that the committed trajectory
      * shows losing on small batches.  0 picks the measured default
      * crossover (defaultPoolCrossoverJobs()); 1 means "always use
      * the process pool" -- what an explicit user demand for workers
@@ -97,7 +207,7 @@ struct PoolStats
     u64 uniqueJobs = 0;
 
     /** False when the batch-size planner ran the batch in-process
-     *  instead of sharding it over worker processes. */
+     *  instead of spreading it over worker processes. */
     bool usedProcessPool = true;
 
     /** Core-model simulations actually performed (cache hits and
@@ -122,10 +232,11 @@ struct PoolRun
     PoolStats stats;
 };
 
-/** Shards job batches over worker processes. */
+/** Runs job batches over an ephemeral WorkerSet. */
 class ProcessPool
 {
   public:
+    /** Stores the options; spawns nothing until run(). */
     explicit ProcessPool(PoolOptions options);
 
     /**
@@ -144,11 +255,11 @@ class ProcessPool
 };
 
 /**
- * The worker half: parse `--jobs FILE --out FILE [--cache-dir DIR]
- * [--threads N]`, run the shard on a fresh builtin Session, write the
- * result file.  Returns a process exit code (0 on success); any
- * binary that may act as a pool worker routes its hidden "worker"
- * argv token here.
+ * The worker half: parse `[--cache-dir DIR] [--threads N]`, then on
+ * a fresh builtin Session answer every `batch` frame read from stdin
+ * with exactly one `results` (or `error`) frame on stdout, until EOF.
+ * Returns a process exit code (0 on a clean EOF); any binary that may
+ * host workers routes its hidden "worker" argv token here.
  */
 int poolWorkerMain(const std::vector<std::string> &args);
 
@@ -157,8 +268,8 @@ std::string currentExecutablePath();
 
 /**
  * The built-in planner crossover: below this many unique jobs a
- * pooled batch is cheaper to run in-process than to shard over
- * fork/exec'd workers (PoolOptions::minPooledJobs == 0 uses this).
+ * pooled batch is cheaper to run in-process than to spread over
+ * exec'd workers (PoolOptions::minPooledJobs == 0 uses this).
  * The service bench records the value alongside its timings so a
  * future re-measurement has the old figure next to the new one.
  */

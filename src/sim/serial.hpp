@@ -2,13 +2,14 @@
  * @file
  * Shared record-serialization helpers for the persistent formats.
  *
- * The persistent result cache (sim/disk_cache) and the pool shard
- * files (sim/job_io) speak the same dialect: tab-separated records,
- * one per line, strings percent-escaped so a field can never contain
- * a tab or newline, doubles round-tripped through their raw bit
- * pattern (persisted values stay bit-for-bit identical to computed
- * ones), and a trailing FNV-1a checksum per record so silent bit rot
- * is rejected instead of surfacing as a wrong value.
+ * The persistent result cache (sim/disk_cache) and the job/result
+ * blocks workers exchange (sim/job_io) speak the same dialect:
+ * tab-separated records, one per line, strings percent-escaped so a
+ * field can never contain a tab or newline, doubles round-tripped
+ * through their raw bit pattern (persisted values stay bit-for-bit
+ * identical to computed ones), and a trailing FNV-1a checksum per
+ * record so silent bit rot is rejected instead of surfacing as a
+ * wrong value.
  *
  * Every parser here is strict by construction -- no atoi, no partial
  * reads, no sign surprises -- because these formats are the trust

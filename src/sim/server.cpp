@@ -1,12 +1,12 @@
 #include "sim/server.hpp"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -17,14 +17,13 @@
 #include <deque>
 #include <filesystem>
 #include <iostream>
-#include <map>
 #include <mutex>
 #include <sstream>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/job_io.hpp"
+#include "sim/pool.hpp"
 #include "sim/session.hpp"
 #include "sim/telemetry.hpp"
 #include "sim/wire.hpp"
@@ -32,14 +31,6 @@
 namespace vegeta::sim {
 
 namespace {
-
-/** A pre-forked persistent worker and its feeding pipes. */
-struct ServiceWorker
-{
-    pid_t pid = -1;
-    int inFd = -1;  ///< parent writes batches here
-    int outFd = -1; ///< parent reads results here
-};
 
 /** One queued batch plus when it entered the queue. */
 struct PendingBatch
@@ -135,8 +126,8 @@ struct SimServer::Impl
     bool ownsSocketFile = false;
     int wakePipe[2] = {-1, -1}; ///< unblocks the accept poll on stop
 
-    std::vector<ServiceWorker> workers;
-    u32 workerThreads = 0;
+    /** The exec'd workers; null executes batches in-process. */
+    std::unique_ptr<WorkerSet> workers;
 
     std::thread acceptThread;
     std::thread dispatchThread;
@@ -174,7 +165,6 @@ struct SimServer::Impl
     void readerLoop(std::shared_ptr<ClientConn> conn);
     void dispatchLoop();
 
-    bool forkWorkers(std::string *error);
     bool bindSocket(std::string *error);
 
     struct ExecOutcome
@@ -253,28 +243,33 @@ SimServer::Impl::start(std::string *error)
     if (!options.socketPath.empty() && options.useTcp)
         return fail("choose a unix socket OR tcp, not both");
 
-    // Writes to dead clients/workers must be errors, not process
-    // death; sockets use MSG_NOSIGNAL but the worker pipes cannot.
+    // Writes to dead clients must be errors, not process death
+    // (sockets use MSG_NOSIGNAL; WorkerSet covers its pipes).
     ::signal(SIGPIPE, SIG_IGN);
-
-    // Fork the persistent workers FIRST: this process has no threads
-    // yet, so the children are plain single-threaded copies.
-    if (!forkWorkers(error))
-        return false;
 
     if (!bindSocket(error)) {
         stop();
         return false;
     }
 
-    if (::pipe(wakePipe) != 0) {
+    if (::pipe2(wakePipe, O_CLOEXEC) != 0) {
         stop();
         return fail("cannot create wake pipe");
     }
 
-    // In-process execution wants warm caches; worker mode only uses
-    // this session to validate batches (workers own their caches).
-    if (options.serviceWorkers == 0) {
+    // Workers are exec'd, so spawning them after the socket exists
+    // is safe: every descriptor here is close-on-exec.  In worker
+    // mode the server's own session only validates batches (workers
+    // own their caches); in-process execution wants warm caches.
+    if (options.serviceWorkers > 0) {
+        workers = WorkerSet::spawn(options.serviceWorkers,
+                                   options.cacheDir, options.threads,
+                                   {}, error);
+        if (!workers) {
+            stop();
+            return false;
+        }
+    } else {
         session.enableCache();
         if (!options.cacheDir.empty()) {
             const auto disk = session.attachDiskCache(options.cacheDir);
@@ -287,68 +282,14 @@ SimServer::Impl::start(std::string *error)
     }
 
     startNs = telemetry::nowNs();
-    workerMetrics.assign(workers.size(), {});
-    workerJobs.assign(workers.size(), 0);
+    const u32 worker_count = workers ? workers->size() : 0;
+    workerMetrics.assign(worker_count, {});
+    workerJobs.assign(worker_count, 0);
 
     started = true;
     stopping = false;
     acceptThread = std::thread([this]() { acceptLoop(); });
     dispatchThread = std::thread([this]() { dispatchLoop(); });
-    return true;
-}
-
-bool
-SimServer::Impl::forkWorkers(std::string *error)
-{
-    for (u32 w = 0; w < options.serviceWorkers; ++w) {
-        int to_child[2], to_parent[2];
-        if (::pipe(to_child) != 0)
-            goto pipe_error;
-        if (::pipe(to_parent) != 0) {
-            ::close(to_child[0]);
-            ::close(to_child[1]);
-            goto pipe_error;
-        }
-        {
-            const pid_t pid = ::fork();
-            if (pid < 0) {
-                ::close(to_child[0]);
-                ::close(to_child[1]);
-                ::close(to_parent[0]);
-                ::close(to_parent[1]);
-                if (error)
-                    *error = "cannot fork service worker";
-                return false;
-            }
-            if (pid == 0) {
-                // Child: keep only this worker's two pipe ends.
-                ::close(to_child[1]);
-                ::close(to_parent[0]);
-                for (const auto &other : workers) {
-                    ::close(other.inFd);
-                    ::close(other.outFd);
-                }
-                u32 threads = options.threads;
-                if (threads == 0) {
-                    const unsigned hw =
-                        std::thread::hardware_concurrency();
-                    threads = std::max(
-                        1u, static_cast<u32>(hw) /
-                                options.serviceWorkers);
-                }
-                ::_exit(serviceWorkerLoop(to_child[0], to_parent[1],
-                                          options.cacheDir, threads));
-            }
-            ::close(to_child[0]);
-            ::close(to_parent[1]);
-            workers.push_back({pid, to_child[1], to_parent[0]});
-        }
-        continue;
-    pipe_error:
-        if (error)
-            *error = "cannot create service worker pipes";
-        return false;
-    }
     return true;
 }
 
@@ -364,7 +305,7 @@ SimServer::Impl::bindSocket(std::string *error)
     if (!options.socketPath.empty()) {
         if (options.socketPath.size() >= sizeof(sockaddr_un{}.sun_path))
             return fail("socket path too long: " + options.socketPath);
-        listenFd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+        listenFd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
         if (listenFd < 0)
             return fail("cannot create unix socket");
         sockaddr_un addr{};
@@ -380,7 +321,8 @@ SimServer::Impl::bindSocket(std::string *error)
             // A stale socket file from a dead server binds again
             // after an unlink; a LIVE server answers a probe connect
             // and is an error.
-            const int probe = ::socket(AF_UNIX, SOCK_STREAM, 0);
+            const int probe =
+                ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
             const bool live =
                 probe >= 0 &&
                 ::connect(probe,
@@ -401,7 +343,7 @@ SimServer::Impl::bindSocket(std::string *error)
         ownsSocketFile = true;
         boundAddress = "unix:" + options.socketPath;
     } else {
-        listenFd = ::socket(AF_INET, SOCK_STREAM, 0);
+        listenFd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
         if (listenFd < 0)
             return fail("cannot create tcp socket");
         const int one = 1;
@@ -477,20 +419,9 @@ SimServer::Impl::stop()
         closeFd(conn->fd);
     }
 
-    // EOF on the feed pipe is a worker's shutdown signal; reap every
-    // child so no zombie or orphan outlives the server.
-    for (auto &worker : workers) {
-        closeFd(worker.inFd);
-        closeFd(worker.outFd);
-    }
-    for (auto &worker : workers) {
-        if (worker.pid > 0) {
-            int status = 0;
-            ::waitpid(worker.pid, &status, 0);
-            worker.pid = -1;
-        }
-    }
-    workers.clear();
+    // Closes the feed pipes and reaps every worker, so no zombie or
+    // orphan outlives the server.
+    workers.reset();
     closeFd(wakePipe[0]);
     closeFd(wakePipe[1]);
     {
@@ -520,7 +451,8 @@ SimServer::Impl::acceptLoop()
         }
         if (!(fds[0].revents & POLLIN))
             continue;
-        const int client = ::accept(listenFd, nullptr, nullptr);
+        const int client =
+            ::accept4(listenFd, nullptr, nullptr, SOCK_CLOEXEC);
         if (client < 0)
             continue;
         auto conn = std::make_shared<ClientConn>();
@@ -779,113 +711,46 @@ SimServer::Impl::executeBatch(const std::vector<Job> &jobs)
 {
     ExecOutcome outcome;
 
-    // Dedupe by canonical key exactly like runBatch/ProcessPool: the
-    // response carries one record per unique key (sorted, so worker
-    // sharding is a pure function of the batch) and the client fans
-    // results back out to its own job order.
-    std::map<std::string, std::size_t> unique;
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-        unique.emplace(jobKey(jobs[i]), i);
-
-    if (workers.empty()) {
+    // The response carries one record per unique key, in key order,
+    // and the client fans results back out to its own job order.
+    const KeyedBatch keyed = keyBatch(jobs);
+    std::vector<JobResult> results;
+    if (!workers) {
         const u64 sims0 = session.simulationsPerformed();
         const u64 anas0 = session.analysesPerformed();
-        const auto results =
-            session.runBatch(jobs, options.threads);
+        const auto batch = session.runBatch(jobs, options.threads);
         outcome.output.simulationsPerformed =
             session.simulationsPerformed() - sims0;
         outcome.output.analysesPerformed =
             session.analysesPerformed() - anas0;
-        outcome.output.results.reserve(unique.size());
-        for (const auto &[key, index] : unique)
-            outcome.output.results.emplace_back(key, results[index]);
-        outcome.ok = true;
-        return outcome;
-    }
-
-    // Persistent-worker mode: deal the sorted unique keys
-    // round-robin over the pre-forked workers and feed each its
-    // slice as ONE wire frame down its pipe -- no files, no forks.
-    const u32 used = std::min<u32>(
-        static_cast<u32>(workers.size()),
-        static_cast<u32>(std::max<std::size_t>(1, unique.size())));
-    std::vector<std::vector<Job>> slices(used);
-    std::vector<std::vector<std::string>> slice_keys(used);
-    {
-        u32 next = 0;
-        for (const auto &[key, index] : unique) {
-            slices[next].push_back(jobs[index]);
-            slice_keys[next].push_back(key);
-            next = (next + 1) % used;
-        }
-    }
-    std::string error;
-    for (u32 w = 0; w < used; ++w) {
-        if (!wire::writeFrame(workers[w].inFd,
-                              wire::FrameType::Batch,
-                              encodeJobBatch(slices[w]), &error)) {
-            outcome.error =
-                "service worker " + std::to_string(w) +
-                " unreachable: " + error;
-            return outcome;
-        }
-    }
-    std::unordered_map<std::string, JobResult> by_key;
-    by_key.reserve(unique.size());
-    for (u32 w = 0; w < used; ++w) {
-        wire::Frame frame;
-        if (!wire::readFrame(workers[w].outFd, &frame, -1, &error)) {
-            outcome.error = "service worker " + std::to_string(w) +
-                            " died: " + error;
-            return outcome;
-        }
-        if (frame.type == wire::FrameType::Error) {
-            outcome.error = "service worker " + std::to_string(w) +
-                            ": " + frame.payload;
-            return outcome;
-        }
-        if (frame.type != wire::FrameType::Results) {
-            outcome.error = "service worker " + std::to_string(w) +
-                            ": unexpected frame";
-            return outcome;
-        }
-        auto output = decodeWorkerOutput(frame.payload, &error);
-        if (!output) {
-            outcome.error = "service worker " + std::to_string(w) +
-                            ": " + error;
-            return outcome;
-        }
+        results.reserve(keyed.keys.size());
+        for (const std::size_t index : keyed.first)
+            results.push_back(batch[index]);
+    } else {
+        WorkerBatch batch = workers->run(jobs, keyed);
         {
-            // The worker ships its whole-process cumulative snapshot
-            // on every results frame: REPLACE the latest copy (an
+            // Each answer carries the worker's whole-process
+            // cumulative snapshot: REPLACE the latest copy (an
             // absorb per frame would double count).
             std::lock_guard<std::mutex> lock(mutex);
-            if (w < workerMetrics.size()) {
-                workerMetrics[w] = std::move(output->metrics);
-                workerJobs[w] += output->results.size();
+            for (auto &reply : batch.replies) {
+                workerMetrics[reply.worker] = std::move(reply.metrics);
+                workerJobs[reply.worker] += reply.jobs;
             }
         }
-        outcome.output.simulationsPerformed +=
-            output->simulationsPerformed;
-        outcome.output.analysesPerformed +=
-            output->analysesPerformed;
-        for (auto &[key, result] : output->results)
-            by_key.emplace(key, std::move(result));
-        for (const auto &key : slice_keys[w]) {
-            if (!by_key.count(key)) {
-                outcome.error = "service worker " +
-                                std::to_string(w) +
-                                ": missing result";
-                return outcome;
-            }
+        if (!batch.ok) {
+            outcome.error = "service " + batch.error;
+            return outcome;
         }
+        outcome.output.simulationsPerformed =
+            batch.simulationsPerformed;
+        outcome.output.analysesPerformed = batch.analysesPerformed;
+        results = std::move(batch.results);
     }
-    outcome.output.results.reserve(unique.size());
-    for (const auto &[key, index] : unique) {
-        (void)index;
-        outcome.output.results.emplace_back(
-            key, std::move(by_key.find(key)->second));
-    }
+    outcome.output.results.reserve(results.size());
+    for (std::size_t u = 0; u < results.size(); ++u)
+        outcome.output.results.emplace_back(keyed.keys[u],
+                                            std::move(results[u]));
     outcome.ok = true;
     return outcome;
 }
@@ -989,85 +854,6 @@ SimServer::Impl::statsJson()
     return os.str();
 }
 
-// --- the persistent worker -------------------------------------------
-
-int
-serviceWorkerLoop(int in_fd, int out_fd, const std::string &cache_dir,
-                  u32 threads)
-{
-    Session session;
-    session.enableCache();
-    if (!cache_dir.empty()) {
-        const auto disk = session.attachDiskCache(cache_dir);
-        if (!disk->ok()) {
-            std::cerr << "service worker: cannot open cache dir: "
-                      << cache_dir << "\n";
-            return 4;
-        }
-    }
-
-    for (;;) {
-        wire::Frame frame;
-        std::string error;
-        bool clean_eof = false;
-        if (!wire::readFrame(in_fd, &frame, -1, &error,
-                             &clean_eof)) {
-            if (clean_eof)
-                return 0; // parent closed the feed: clean shutdown
-            std::cerr << "service worker: " << error << "\n";
-            return 3;
-        }
-        if (frame.type == wire::FrameType::Bye)
-            return 0;
-        if (frame.type != wire::FrameType::Batch) {
-            std::cerr << "service worker: unexpected frame\n";
-            return 3;
-        }
-        auto jobs = decodeJobBatch(frame.payload, &error);
-        bool bad_job = false;
-        if (jobs) {
-            for (const auto &job : *jobs) {
-                if (const auto reason = session.jobError(job)) {
-                    error = "bad job: " + *reason;
-                    bad_job = true;
-                    break;
-                }
-            }
-        }
-        if (!jobs || bad_job) {
-            // One frame in, one frame out: the pipe stays aligned
-            // even for a rejected batch.
-            if (!wire::writeFrame(out_fd, wire::FrameType::Error,
-                                  error, &error))
-                return 3;
-            continue;
-        }
-
-        const u64 sims0 = session.simulationsPerformed();
-        const u64 anas0 = session.analysesPerformed();
-        const auto results = session.runBatch(*jobs, threads);
-
-        WorkerOutput output;
-        output.results.reserve(results.size());
-        for (std::size_t i = 0; i < results.size(); ++i)
-            output.results.emplace_back(jobKey((*jobs)[i]),
-                                        results[i]);
-        output.simulationsPerformed =
-            session.simulationsPerformed() - sims0;
-        output.analysesPerformed =
-            session.analysesPerformed() - anas0;
-        // Cumulative whole-process snapshot on EVERY frame: the
-        // server keeps only the latest copy per worker, so this is
-        // idempotent, never double counted.
-        output.metrics = telemetry::snapshot().metrics;
-        if (!wire::writeFrame(out_fd, wire::FrameType::Results,
-                              encodeWorkerOutput(output), &error)) {
-            std::cerr << "service worker: " << error << "\n";
-            return 3;
-        }
-    }
-}
-
 // --- CLI entry --------------------------------------------------------
 
 namespace {
@@ -1092,7 +878,7 @@ int
 SimServer::serveMain(const ServerOptions &options)
 {
     int signal_pipe[2];
-    if (::pipe(signal_pipe) != 0) {
+    if (::pipe2(signal_pipe, O_CLOEXEC) != 0) {
         std::cerr << "serve: cannot create signal pipe\n";
         return 2;
     }

@@ -5,16 +5,17 @@
  *
  * Every CLI invocation used to pay full process startup -- registry
  * construction, reloading the persistent DiskResultCache -- and the
- * process pool paid it per SWEEP: fork/exec of every worker plus a
- * shard-file round trip for every batch (the committed trajectory
- * shows that overhead model losing: pool_sweep slows DOWN as workers
- * grow on small batches).  The server inverts both costs:
+ * process pool pays it per SWEEP: it spawns its workers for one batch
+ * and reaps them afterwards (the committed trajectory shows that
+ * overhead model losing: pool_sweep slows DOWN as workers grow on
+ * small batches).  The server inverts both costs:
  *
  *  - registries and both caches are built once and stay warm; a
  *    repeated sweep from any client performs zero simulations;
- *  - worker processes are pre-forked ONCE at startup and fed job
- *    batches incrementally over pipes speaking the same wire frames
- *    as the socket (sim/wire), replacing one-shot shard files;
+ *  - worker processes are spawned ONCE at startup -- the same exec'd
+ *    pipe workers the process pool uses (sim/pool's WorkerSet) --
+ *    and fed job batches over pipes speaking the same wire frames
+ *    as the socket (sim/wire);
  *  - each client connection gets a bounded request queue, and a
  *    single dispatcher drains the queues round-robin, so one greedy
  *    client cannot starve the rest.
@@ -47,9 +48,9 @@ struct ServerOptions
     bool useTcp = false;
 
     /**
-     * Persistent worker processes, pre-forked at start() and fed
-     * over pipes.  0 executes batches in-process on the server's own
-     * warm Session.
+     * Persistent worker processes, exec'd at start() (this binary's
+     * hidden `worker` subcommand) and fed over pipes.  0 executes
+     * batches in-process on the server's own warm Session.
      */
     u32 serviceWorkers = 0;
 
@@ -93,9 +94,9 @@ class SimServer
     SimServer &operator=(const SimServer &) = delete;
 
     /**
-     * Fork the persistent workers (before any thread exists), bind
-     * the socket, and start the accept/dispatch threads.  False with
-     * a one-line reason on failure.
+     * Bind the socket, spawn the persistent workers, and start the
+     * accept/dispatch threads.  False with a one-line reason on
+     * failure.
      */
     bool start(std::string *error);
 
@@ -127,16 +128,6 @@ class SimServer
     struct Impl;
     std::unique_ptr<Impl> impl_;
 };
-
-/**
- * The persistent-worker half: a fresh builtin Session with the
- * in-memory cache (and @p cache_dir when non-empty), looping on
- * `batch` frames from @p in_fd and answering `results` frames on
- * @p out_fd until EOF or a `bye` frame.  Returns a process exit
- * code; the server's pre-forked children run exactly this.
- */
-int serviceWorkerLoop(int in_fd, int out_fd,
-                      const std::string &cache_dir, u32 threads);
 
 } // namespace vegeta::sim
 

@@ -31,7 +31,6 @@
 #include "sim/cache.hpp"
 #include "sim/disk_cache.hpp"
 #include "sim/job.hpp"
-#include "sim/pool.hpp"
 #include "sim/request.hpp"
 #include "sim/result.hpp"
 
@@ -172,20 +171,6 @@ class Session
     std::vector<SimulationResult>
     runBatch(const std::vector<SimulationRequest> &requests,
              u32 threads = 0) const;
-
-    /**
-     * Run a batch sharded over worker PROCESSES (see sim/pool.hpp):
-     * jobs are deduped by canonical key, dealt round-robin over the
-     * sorted key set to options.workers forked workers, and merged
-     * back in original batch order -- bit-for-bit identical to
-     * runBatch for any worker count.  Workers share the persistent
-     * cache under options.cacheDir, so a warm pooled sweep performs
-     * zero replays across all workers.  This session is used only to
-     * validate the batch; workers run fresh builtin-registry
-     * sessions.
-     */
-    PoolRun runBatchPooled(const std::vector<Job> &jobs,
-                           const PoolOptions &options) const;
 
     /**
      * Core-model simulations this session actually performed (cache

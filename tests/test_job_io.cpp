@@ -1,18 +1,16 @@
 /**
  * @file
- * Pool shard-file tests: every Job variant field round-trips through
- * the versioned job-file format bit-for-bit (same canonical key on
- * both sides), result files round-trip both result kinds exactly,
- * and corrupt or truncated files degrade to a clean error -- the
- * contract that a damaged shard can fail a worker but never produce
+ * Job-batch codec tests: every Job variant field round-trips through
+ * the versioned job-batch format bit-for-bit (same canonical key on
+ * both sides), worker outputs round-trip both result kinds exactly,
+ * and corrupt or truncated blocks degrade to a clean error -- the
+ * contract that a damaged frame can fail a worker but never produce
  * wrong or silently missing results.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "sim/job_io.hpp"
@@ -20,18 +18,6 @@
 
 namespace vegeta::sim {
 namespace {
-
-namespace fs = std::filesystem;
-
-std::string
-freshDir(const std::string &name)
-{
-    const fs::path dir =
-        fs::path(::testing::TempDir()) / "vegeta_job_io" / name;
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    return dir.string();
-}
 
 /** A simulation job with every field away from its default. */
 Job
@@ -151,79 +137,47 @@ TEST(JobIo, TamperedJobRecordIsRejected)
     EXPECT_FALSE(parseJob("garbage").has_value());
 }
 
-TEST(JobIo, JobFileRoundTripsAMixedShard)
+TEST(JobIo, JobBatchRoundTripsAMixedBatch)
 {
-    const std::string dir = freshDir("shard");
-    const std::string path = dir + "/shard.jobs";
     const std::vector<Job> jobs = {fancySimulationJob(),
                                    fancyAnalysisJob(),
                                    fancySimulationJob()};
-    ASSERT_TRUE(writeJobFile(path, jobs));
-
     std::string error;
-    const auto read = readJobFile(path, &error);
-    ASSERT_TRUE(read.has_value()) << error;
-    ASSERT_EQ(read->size(), jobs.size());
+    const auto decoded = decodeJobBatch(encodeJobBatch(jobs), &error);
+    ASSERT_TRUE(decoded.has_value()) << error;
+    ASSERT_EQ(decoded->size(), jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i)
-        expectSameJob(jobs[i], (*read)[i]);
+        expectSameJob(jobs[i], (*decoded)[i]);
 }
 
-TEST(JobIo, EmptyShardRoundTrips)
+TEST(JobIo, EmptyJobBatchRoundTrips)
 {
-    const std::string dir = freshDir("empty");
-    const std::string path = dir + "/empty.jobs";
-    ASSERT_TRUE(writeJobFile(path, {}));
     std::string error;
-    const auto read = readJobFile(path, &error);
-    ASSERT_TRUE(read.has_value()) << error;
-    EXPECT_TRUE(read->empty());
+    const auto decoded = decodeJobBatch(encodeJobBatch({}), &error);
+    ASSERT_TRUE(decoded.has_value()) << error;
+    EXPECT_TRUE(decoded->empty());
 }
 
-TEST(JobIo, CorruptShardFilesFailCleanly)
+TEST(JobIo, CorruptJobBatchesFailCleanly)
 {
-    const std::string dir = freshDir("corrupt");
-    const std::string path = dir + "/shard.jobs";
-    const std::vector<Job> jobs = {fancySimulationJob(),
-                                   fancyAnalysisJob()};
-    ASSERT_TRUE(writeJobFile(path, jobs));
-    std::string text;
-    {
-        std::ifstream is(path);
-        std::stringstream buffer;
-        buffer << is.rdbuf();
-        text = buffer.str();
-    }
-
-    auto write = [&](const std::string &name,
-                     const std::string &content) {
-        const std::string p = dir + "/" + name;
-        std::ofstream os(p, std::ios::trunc | std::ios::binary);
-        os << content;
-        return p;
-    };
-
+    const std::string text =
+        encodeJobBatch({fancySimulationJob(), fancyAnalysisJob()});
     std::string error;
-    // Missing file.
-    EXPECT_FALSE(readJobFile(dir + "/nope.jobs", &error).has_value());
-    EXPECT_NE(error.find("cannot open"), std::string::npos);
     // Wrong header.
     EXPECT_FALSE(
-        readJobFile(write("header.jobs", "not a job file\n" + text),
-                    &error)
+        decodeJobBatch("not a job batch\n" + text, &error)
             .has_value());
+    EXPECT_NE(error.find("header"), std::string::npos);
     // Truncated: cut before the footer.
     const auto last_line = text.rfind("end\t");
     ASSERT_NE(last_line, std::string::npos);
     EXPECT_FALSE(
-        readJobFile(write("trunc.jobs", text.substr(0, last_line)),
-                    &error)
-            .has_value());
+        decodeJobBatch(text.substr(0, last_line), &error).has_value());
     EXPECT_NE(error.find("no footer"), std::string::npos);
     // Truncated mid-record (the cut record fails its checksum).
-    EXPECT_FALSE(
-        readJobFile(write("mid.jobs", text.substr(0, last_line - 10)),
-                    &error)
-            .has_value());
+    EXPECT_FALSE(decodeJobBatch(text.substr(0, last_line - 10), &error)
+                     .has_value());
+    EXPECT_NE(error.find("corrupt record"), std::string::npos);
     // A record deleted but the footer count kept: count mismatch.
     {
         std::istringstream is(text);
@@ -233,9 +187,7 @@ TEST(JobIo, CorruptShardFilesFailCleanly)
             if (++line_no != 2) // drop the first job record
                 kept += line + "\n";
         }
-        EXPECT_FALSE(
-            readJobFile(write("count.jobs", kept), &error)
-                .has_value());
+        EXPECT_FALSE(decodeJobBatch(kept, &error).has_value());
         EXPECT_NE(error.find("count mismatch"), std::string::npos);
     }
     // Bit rot inside a record.
@@ -244,17 +196,13 @@ TEST(JobIo, CorruptShardFilesFailCleanly)
         const auto pos = rotten.find("VEGETA-S-2-2");
         ASSERT_NE(pos, std::string::npos);
         rotten.replace(pos, 12, "VEGETA-S-4-2");
-        EXPECT_FALSE(readJobFile(write("rot.jobs", rotten), &error)
-                         .has_value());
+        EXPECT_FALSE(decodeJobBatch(rotten, &error).has_value());
         EXPECT_NE(error.find("corrupt record"), std::string::npos);
     }
 }
 
-TEST(JobIo, ResultFileRoundTripsBothKindsBitExactly)
+TEST(JobIo, WorkerOutputRoundTripsBothKindsBitExactly)
 {
-    const std::string dir = freshDir("results");
-    const std::string path = dir + "/shard.results";
-
     // Real results from real runs, so the round trip is checked
     // against genuinely produced values (incl. macUtilization bits).
     const Session session;
@@ -277,10 +225,10 @@ TEST(JobIo, ResultFileRoundTripsBothKindsBitExactly)
                                 session.run(*ana_job));
     output.simulationsPerformed = 1;
     output.analysesPerformed = 1;
-    ASSERT_TRUE(writeResultFile(path, output));
 
     std::string error;
-    const auto read = readResultFile(path, &error);
+    const auto read =
+        decodeWorkerOutput(encodeWorkerOutput(output), &error);
     ASSERT_TRUE(read.has_value()) << error;
     EXPECT_EQ(read->simulationsPerformed, 1u);
     EXPECT_EQ(read->analysesPerformed, 1u);
@@ -313,11 +261,8 @@ TEST(JobIo, ResultFileRoundTripsBothKindsBitExactly)
     EXPECT_EQ(ana_a.notes, ana_b.notes);
 }
 
-TEST(JobIo, TamperedResultFileFailsCleanly)
+TEST(JobIo, TamperedWorkerOutputFailsCleanly)
 {
-    const std::string dir = freshDir("bad_results");
-    const std::string path = dir + "/shard.results";
-
     const Session session;
     const auto job = session.job()
                          .gemm(kernels::GemmDims{32, 32, 128})
@@ -327,29 +272,18 @@ TEST(JobIo, TamperedResultFileFailsCleanly)
     WorkerOutput output;
     output.results.emplace_back(jobKey(*job), session.run(*job));
     output.simulationsPerformed = 1;
-    ASSERT_TRUE(writeResultFile(path, output));
+    const std::string text = encodeWorkerOutput(output);
 
-    std::string text;
-    {
-        std::ifstream is(path);
-        std::stringstream buffer;
-        buffer << is.rdbuf();
-        text = buffer.str();
-    }
     // Tamper one cycle-count digit: checksum rejects the record and
-    // the whole file fails (a pool worker error, not a wrong merge).
+    // the whole block fails (a worker error, not a wrong merge).
     const auto &result = output.results[0].second.simulation;
     const std::string cycles = std::to_string(result.coreCycles);
     const auto pos = text.find("\t" + cycles + "\t");
     ASSERT_NE(pos, std::string::npos);
     std::string rotten = text;
     rotten[pos + 1] = rotten[pos + 1] == '9' ? '8' : '9';
-    {
-        std::ofstream os(path, std::ios::trunc);
-        os << rotten;
-    }
     std::string error;
-    EXPECT_FALSE(readResultFile(path, &error).has_value());
+    EXPECT_FALSE(decodeWorkerOutput(rotten, &error).has_value());
     EXPECT_NE(error.find("corrupt record"), std::string::npos);
 }
 

@@ -8,18 +8,24 @@
  *
  * This binary is its own pool worker: main() routes the hidden
  * "worker" argv token to poolWorkerMain before gtest ever runs,
- * exactly like simulate_cli's hidden subcommand -- so the tests fork
+ * exactly like simulate_cli's hidden subcommand -- so the tests exec
  * REAL worker processes.
  */
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <spawn.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <filesystem>
-#include <fstream>
 
 #include "expect_identical.hpp"
+#include "sim/job_io.hpp"
 #include "sim/pool.hpp"
 #include "sim/session.hpp"
+#include "sim/wire.hpp"
 
 namespace vegeta::sim {
 namespace {
@@ -86,8 +92,8 @@ TEST(ProcessPool, MergesBitIdenticalToSingleProcess)
         options.workers = workers;
         options.threadsPerWorker = 2;
         options.minPooledJobs = 1; // pin the REAL pool: this test
-                                   // is about the sharded path
-        const auto pooled = session.runBatchPooled(jobs, options);
+                                   // is about the pooled path
+        const auto pooled = ProcessPool(options).run(session, jobs);
         ASSERT_TRUE(pooled.ok) << pooled.error;
         EXPECT_TRUE(pooled.stats.usedProcessPool);
         EXPECT_EQ(pooled.stats.uniqueJobs, jobs.size() - 1);
@@ -110,7 +116,7 @@ TEST(ProcessPool, WarmSharedCacheRunsZeroSimulations)
 
     // Cold: every unique trace job simulates somewhere in the pool,
     // every unique analysis evaluates, and the shared dir fills up.
-    const auto cold = session.runBatchPooled(jobs, options);
+    const auto cold = ProcessPool(options).run(session, jobs);
     ASSERT_TRUE(cold.ok) << cold.error;
     EXPECT_EQ(cold.stats.simulationsPerformed, 4u);
     EXPECT_EQ(cold.stats.analysesPerformed, 2u);
@@ -118,7 +124,7 @@ TEST(ProcessPool, WarmSharedCacheRunsZeroSimulations)
     // Warm, with a different worker count: zero replays, zero
     // backend evaluations, bit-identical merge.
     options.workers = 5;
-    const auto warm = session.runBatchPooled(jobs, options);
+    const auto warm = ProcessPool(options).run(session, jobs);
     ASSERT_TRUE(warm.ok) << warm.error;
     EXPECT_EQ(warm.stats.simulationsPerformed, 0u);
     EXPECT_EQ(warm.stats.analysesPerformed, 0u);
@@ -137,7 +143,7 @@ TEST(ProcessPool, PlannerFallsBackInProcessBelowCrossover)
     PoolOptions options;
     options.workers = 4; // ignored by the fallback
     ASSERT_LT(jobs.size(), defaultPoolCrossoverJobs());
-    const auto planned = session.runBatchPooled(jobs, options);
+    const auto planned = ProcessPool(options).run(session, jobs);
     ASSERT_TRUE(planned.ok) << planned.error;
     EXPECT_FALSE(planned.stats.usedProcessPool);
     EXPECT_EQ(planned.stats.workersSpawned, 0u);
@@ -159,14 +165,14 @@ TEST(ProcessPool, PlannerFallbackSharesTheDiskCacheBothWays)
     PoolOptions fallback;
     fallback.workers = 2;
     fallback.cacheDir = cache_dir;
-    const auto cold = session.runBatchPooled(jobs, fallback);
+    const auto cold = ProcessPool(fallback).run(session, jobs);
     ASSERT_TRUE(cold.ok) << cold.error;
     ASSERT_FALSE(cold.stats.usedProcessPool);
     EXPECT_EQ(cold.stats.simulationsPerformed, 4u);
 
     PoolOptions pooled = fallback;
     pooled.minPooledJobs = 1;
-    const auto warm = session.runBatchPooled(jobs, pooled);
+    const auto warm = ProcessPool(pooled).run(session, jobs);
     ASSERT_TRUE(warm.ok) << warm.error;
     ASSERT_TRUE(warm.stats.usedProcessPool);
     EXPECT_EQ(warm.stats.simulationsPerformed, 0u);
@@ -182,12 +188,12 @@ TEST(ProcessPool, ExplicitMinPooledJobsThresholdRespected)
     options.workers = 2;
 
     options.minPooledJobs = 7; // just above the unique count
-    auto run = session.runBatchPooled(jobs, options);
+    auto run = ProcessPool(options).run(session, jobs);
     ASSERT_TRUE(run.ok) << run.error;
     EXPECT_FALSE(run.stats.usedProcessPool);
 
     options.minPooledJobs = 6; // exactly the unique count: pool
-    run = session.runBatchPooled(jobs, options);
+    run = ProcessPool(options).run(session, jobs);
     ASSERT_TRUE(run.ok) << run.error;
     EXPECT_TRUE(run.stats.usedProcessPool);
     EXPECT_EQ(run.stats.workersSpawned, 2u);
@@ -198,7 +204,7 @@ TEST(ProcessPool, EmptyBatchSpawnsNothing)
     const Session session;
     PoolOptions options;
     options.workers = 4;
-    const auto pooled = session.runBatchPooled({}, options);
+    const auto pooled = ProcessPool(options).run(session, {});
     ASSERT_TRUE(pooled.ok) << pooled.error;
     EXPECT_TRUE(pooled.results.empty());
     EXPECT_EQ(pooled.stats.workersSpawned, 0u);
@@ -213,7 +219,7 @@ TEST(ProcessPool, RejectsInvalidJobsBeforeSpawning)
     bad.simulation.gemm = {32, 32, 64};
     PoolOptions options;
     options.workers = 2;
-    const auto pooled = session.runBatchPooled({bad}, options);
+    const auto pooled = ProcessPool(options).run(session, {bad});
     EXPECT_FALSE(pooled.ok);
     EXPECT_NE(pooled.error.find("unknown engine"), std::string::npos);
     EXPECT_EQ(pooled.stats.workersSpawned, 0u);
@@ -226,9 +232,9 @@ TEST(ProcessPool, FailedWorkerSurfacesACleanError)
     PoolOptions options;
     options.workers = 2;
     options.minPooledJobs = 1; // force the pool so the fake worker runs
-    // A "worker" that ignores its shard and exits non-zero.
+    // A "worker" that ignores its batch and exits non-zero.
     options.workerCommand = {"/bin/false"};
-    const auto pooled = session.runBatchPooled(jobs, options);
+    const auto pooled = ProcessPool(options).run(session, jobs);
     EXPECT_FALSE(pooled.ok);
     EXPECT_NE(pooled.error.find("worker"), std::string::npos);
     EXPECT_TRUE(pooled.results.empty());
@@ -240,35 +246,110 @@ TEST(ProcessPool, ZeroWorkersIsAnError)
     const auto jobs = mixedBatch(session);
     PoolOptions options;
     options.workers = 0;
-    const auto pooled = session.runBatchPooled(jobs, options);
+    const auto pooled = ProcessPool(options).run(session, jobs);
     EXPECT_FALSE(pooled.ok);
 }
 
-TEST(PoolWorker, CorruptShardFileIsACleanWorkerError)
+/** This binary exec'd as one raw worker, fed through two pipes. */
+struct RawWorker
 {
-    const std::string dir = freshDir("corrupt_shard");
-    fs::create_directories(dir);
-    const std::string shard = dir + "/shard.jobs";
+    pid_t pid = -1;
+    int feed = -1;  ///< the worker's stdin
+    int reply = -1; ///< the worker's stdout
+
+    RawWorker()
     {
-        std::ofstream os(shard);
-        os << "vegeta-job-file v1\nnot a record\n";
+        int in[2], out[2];
+        EXPECT_EQ(pipe2(in, O_CLOEXEC), 0);
+        EXPECT_EQ(pipe2(out, O_CLOEXEC), 0);
+        posix_spawn_file_actions_t actions;
+        posix_spawn_file_actions_init(&actions);
+        posix_spawn_file_actions_adddup2(&actions, in[0], 0);
+        posix_spawn_file_actions_adddup2(&actions, out[1], 1);
+        std::string self = currentExecutablePath();
+        std::string token = "worker";
+        char *argv[] = {self.data(), token.data(), nullptr};
+        EXPECT_EQ(posix_spawn(&pid, argv[0], &actions, nullptr, argv,
+                              environ),
+                  0);
+        posix_spawn_file_actions_destroy(&actions);
+        close(in[0]);
+        close(out[1]);
+        feed = in[1];
+        reply = out[0];
     }
-    // The worker entry rejects the shard outright (exit code, no
-    // result file) instead of running a partial batch.
-    EXPECT_NE(poolWorkerMain({"--jobs", shard, "--out",
-                              dir + "/shard.results"}),
-              0);
-    EXPECT_FALSE(fs::exists(dir + "/shard.results"));
+
+    RawWorker(const RawWorker &) = delete;
+    RawWorker &operator=(const RawWorker &) = delete;
+
+    ~RawWorker()
+    {
+        if (pid > 0)
+            finish();
+        close(reply);
+    }
+
+    /** Close the feed (EOF) and return the worker's exit status. */
+    int finish()
+    {
+        close(feed);
+        int status = -1;
+        waitpid(pid, &status, 0);
+        pid = -1;
+        return status;
+    }
+};
+
+TEST(PoolWorker, CorruptBatchFrameIsAnsweredWithOneError)
+{
+    const Session session;
+    const auto jobs = mixedBatch(session);
+    RawWorker worker;
+    std::string error;
+
+    // A well-framed batch whose payload is not a job batch: the
+    // worker answers exactly one error frame and keeps serving.
+    ASSERT_TRUE(wire::writeFrame(worker.feed, wire::FrameType::Batch,
+                                 "vegeta-job-file v1\nnot a record\n",
+                                 &error))
+        << error;
+    wire::Frame answer;
+    ASSERT_TRUE(wire::readFrame(worker.reply, &answer, 30'000, &error))
+        << error;
+    EXPECT_EQ(answer.type, wire::FrameType::Error);
+    EXPECT_NE(answer.payload.find("corrupt record"), std::string::npos)
+        << answer.payload;
+
+    // The next valid batch is served in full, bit-identical.
+    ASSERT_TRUE(wire::writeFrame(worker.feed, wire::FrameType::Batch,
+                                 encodeJobBatch(jobs), &error))
+        << error;
+    ASSERT_TRUE(wire::readFrame(worker.reply, &answer, 30'000, &error))
+        << error;
+    ASSERT_EQ(answer.type, wire::FrameType::Results) << answer.payload;
+    const auto output = decodeWorkerOutput(answer.payload, &error);
+    ASSERT_TRUE(output.has_value()) << error;
+    ASSERT_EQ(output->results.size(), jobs.size());
+    std::vector<JobResult> results;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        EXPECT_EQ(output->results[i].first, jobKey(jobs[i]));
+        results.push_back(output->results[i].second);
+    }
+    expectIdenticalBatches(results, session.runBatch(jobs, 1));
+
+    // EOF on the feed is a clean shutdown.
+    const int status = worker.finish();
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << status;
 }
 
 TEST(PoolWorker, RejectsBadArguments)
 {
-    EXPECT_NE(poolWorkerMain({}), 0);
     EXPECT_NE(poolWorkerMain({"--jobs"}), 0);
     EXPECT_NE(poolWorkerMain({"--frobnicate"}), 0);
-    EXPECT_NE(poolWorkerMain({"--jobs", "x", "--out", "y",
-                              "--threads", "abc"}),
-              0);
+    EXPECT_NE(poolWorkerMain({"--threads"}), 0);
+    EXPECT_NE(poolWorkerMain({"--cache-dir"}), 0);
+    EXPECT_NE(poolWorkerMain({"--threads", "abc"}), 0);
 }
 
 } // namespace
@@ -278,7 +359,7 @@ int
 main(int argc, char **argv)
 {
     // The hidden pool-worker re-entry, exactly like simulate_cli's
-    // hidden `worker` subcommand: the ProcessPool tests fork this
+    // hidden `worker` subcommand: the ProcessPool tests exec this
     // binary back into itself with "worker" as the first argument.
     if (argc > 1 && std::string(argv[1]) == "worker")
         return vegeta::sim::poolWorkerMain(

@@ -6,7 +6,7 @@
  * Session::runBatch, a warm server answers repeats with zero
  * simulations, version mismatches and bad jobs fail cleanly without
  * killing the connection, and concurrent clients all get correct
- * results (in-process and pre-forked worker modes alike).
+ * results (in-process and exec'd worker modes alike).
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -27,6 +28,7 @@
 
 #include "expect_identical.hpp"
 #include "sim/client.hpp"
+#include "sim/pool.hpp"
 #include "sim/server.hpp"
 #include "sim/session.hpp"
 #include "sim/telemetry.hpp"
@@ -241,16 +243,24 @@ waitUntilDead(pid_t pid)
     return false;
 }
 
+/** The service workers a fixture spawned: children not in @p before. */
+std::vector<pid_t>
+newChildren(const std::set<pid_t> &before)
+{
+    std::vector<pid_t> pids;
+    for (const pid_t pid : childPids())
+        if (!before.count(pid))
+            pids.push_back(pid);
+    return pids;
+}
+
 TEST(Service, FailedBatchIsCountedApartFromServed)
 {
     // SIGKILL one service worker: the next multi-job batch fails,
     // and stats must count it as failed, not as served jobs.
     const std::set<pid_t> before = childPids();
     ServerFixture fixture("killedworker", 2);
-    std::vector<pid_t> workers;
-    for (const pid_t pid : childPids())
-        if (!before.count(pid))
-            workers.push_back(pid);
+    const std::vector<pid_t> workers = newChildren(before);
     ASSERT_EQ(workers.size(), 2u);
 
     const auto jobs = mixedBatch(); // 3 unique keys: both workers
@@ -277,6 +287,90 @@ TEST(Service, FailedBatchIsCountedApartFromServed)
         << *json;
     EXPECT_NE(json->find("\"failed_jobs\": 4,"), std::string::npos)
         << *json;
+    fixture.server->stop();
+}
+
+TEST(Service, FailedBatchLeavesHealthyWorkerPipesAligned)
+{
+    // Worker 1 dies; a batch dealt over both workers fails.  Worker 0
+    // was sent its slice too, so its answer must be read back inside
+    // the failed batch -- otherwise it sits in the pipe and the next
+    // batch, served by worker 0 alone, reads that stale answer.
+    const std::set<pid_t> before = childPids();
+    ServerFixture fixture("desync", 2);
+    const std::vector<pid_t> workers = newChildren(before);
+    ASSERT_EQ(workers.size(), 2u);
+    ASSERT_EQ(::kill(workers[1], SIGKILL), 0);
+    ASSERT_TRUE(waitUntilDead(workers[1]));
+
+    auto client = fixture.client();
+    std::string error;
+    ASSERT_TRUE(client.connect(&error)) << error;
+    const auto failing = mixedBatch(); // 4 jobs, 3 unique keys
+    EXPECT_FALSE(client.runBatch(failing, &error).has_value());
+    EXPECT_NE(error.find("worker 1"), std::string::npos) << error;
+
+    const std::vector<Job> single = {
+        Job::simulate(quickRequest(128, "VEGETA-S-2-2", 2))};
+    const auto run = client.runBatch(single, &error);
+    ASSERT_TRUE(run.has_value()) << error;
+    Session local;
+    local.enableCache();
+    expectIdenticalBatches(run->results, local.runBatch(single, 2));
+    fixture.server->stop();
+}
+
+/** Every descriptor @p pid holds, as its /proc/PID/fd link text. */
+std::map<int, std::string>
+openFds(pid_t pid)
+{
+    std::map<int, std::string> fds;
+    std::error_code ec;
+    const fs::path dir = "/proc/" + std::to_string(pid) + "/fd";
+    for (const auto &entry : fs::directory_iterator(dir, ec)) {
+        const auto target = fs::read_symlink(entry.path(), ec);
+        if (!ec)
+            fds[std::stoi(entry.path().filename().string())] =
+                target.string();
+    }
+    return fds;
+}
+
+TEST(Service, WorkersInheritNoSocketOrSiblingPipe)
+{
+    // Every descriptor the server opens is close-on-exec: a worker
+    // holds its own feed and reply pipes plus the inherited standard
+    // streams, never the listen socket or another worker's pipes
+    // (a leaked feed end would stop its sibling seeing EOF on stop).
+    const std::set<pid_t> before = childPids();
+    ServerFixture fixture("cloexec", 2);
+    const std::vector<pid_t> workers = newChildren(before);
+    ASSERT_EQ(workers.size(), 2u);
+    auto client = fixture.client();
+    std::string error;
+    ASSERT_TRUE(client.connect(&error)) << error;
+    ASSERT_TRUE(client.runBatch(mixedBatch(), &error).has_value())
+        << error;
+
+    std::set<std::string> std_streams;
+    for (const auto &[fd, target] : openFds(::getpid()))
+        if (fd <= 2)
+            std_streams.insert(target);
+    std::vector<std::set<std::string>> pipes(workers.size());
+    for (std::size_t w = 0; w < workers.size(); ++w) {
+        for (const auto &[fd, target] : openFds(workers[w])) {
+            if (std_streams.count(target))
+                continue;
+            EXPECT_EQ(target.rfind("socket:", 0), std::string::npos)
+                << "worker " << w << " fd " << fd << " -> " << target;
+            if (target.rfind("pipe:", 0) == 0)
+                pipes[w].insert(target);
+        }
+        // Its own feed and reply pipe, nothing else.
+        EXPECT_EQ(pipes[w].size(), 2u) << "worker " << w;
+    }
+    for (const auto &pipe : pipes[0])
+        EXPECT_EQ(pipes[1].count(pipe), 0u) << pipe;
     fixture.server->stop();
 }
 
@@ -565,3 +659,16 @@ TEST(Service, ParseServerAddressForms)
 
 } // namespace
 } // namespace vegeta::sim
+
+int
+main(int argc, char **argv)
+{
+    // The hidden worker re-entry: a SimServer with service workers
+    // execs this binary back into itself with "worker" first.
+    if (argc > 1 && std::string(argv[1]) == "worker")
+        return vegeta::sim::poolWorkerMain(
+            std::vector<std::string>(argv + 2, argv + argc));
+
+    ::testing::InitGoogleTest(&argc, argv);
+    return RUN_ALL_TESTS();
+}
