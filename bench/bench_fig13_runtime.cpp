@@ -156,13 +156,11 @@ main(int argc, char **argv)
                   << " unique simulations, " << stats.hits
                   << " hits (geomean summaries reuse the grid's "
                      "runs)\n";
-    }
-    if (const auto &disk = simulator.diskCache()) {
-        const auto stats = disk->stats();
-        std::cout << "Persistent cache: " << stats.hits << " hits, "
-                  << stats.insertions << " new entries ("
-                  << simulator.simulationsPerformed()
-                  << " traces actually simulated)\n";
+        if (cache->persistent())
+            std::cout << "Persistent cache: " << cache->size()
+                      << " entries ("
+                      << simulator.simulationsPerformed()
+                      << " traces actually simulated)\n";
     }
     return 0;
 }

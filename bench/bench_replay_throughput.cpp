@@ -101,13 +101,13 @@ struct PointResult
 sim::SimulationRequest
 requestFor(const sim::Session &simulator, const Point &point)
 {
-    auto request = simulator.request()
-                       .gemm(point.dims)
-                       .engine(point.engine)
-                       .pattern(point.pattern)
-                       .build();
-    VEGETA_ASSERT(request.has_value(), "invalid bench request");
-    return *request;
+    auto job = simulator.job()
+                   .gemm(point.dims)
+                   .engine(point.engine)
+                   .pattern(point.pattern)
+                   .build();
+    VEGETA_ASSERT(job.has_value(), "invalid bench request");
+    return job->simulation;
 }
 
 /** Streaming: generation + replay fused, no trace in memory. */

@@ -28,9 +28,6 @@
  * workers) behind a unix/TCP socket; `run --connect ADDR` and `sweep
  * --connect ADDR` send the same work there instead of simulating
  * locally, with byte-identical stdout (sim/server, sim/client).
- *
- * Flag-style invocations without a subcommand (`simulate_cli
- * --workload ...`) are deprecated but still route to `run`.
  */
 
 #include <cstdlib>
@@ -266,7 +263,8 @@ reportText(const sim::SimulationResult &result)
 void
 reportDiskCache(const sim::Session &session)
 {
-    if (const auto &disk = session.diskCache()) {
+    const auto &disk = session.cache();
+    if (disk && disk->persistent()) {
         const auto stats = disk->stats();
         std::cerr << "persistent cache: " << stats.hits << " hits, "
                   << stats.misses << " misses, " << stats.insertions
@@ -646,27 +644,21 @@ cmdSweep(Args args)
     }
 
     sim::Session session;
-    session.enableCache();
-    if (!cache_dir.empty()) {
-        if (workers > 0) {
-            // Pooled mode: the WORKERS open the shared cache; the
-            // parent only checks the directory is usable instead of
-            // loading a potentially large file it would never read.
-            std::error_code ec;
-            std::filesystem::create_directories(cache_dir, ec);
-            if (ec || !std::filesystem::is_directory(cache_dir)) {
-                std::cerr << "cannot open cache dir: " << cache_dir
-                          << "\n";
-                return 2;
-            }
-        } else {
-            const auto disk = session.attachDiskCache(cache_dir);
-            if (!disk->ok()) {
-                std::cerr << "cannot open cache dir: " << cache_dir
-                          << "\n";
-                return 2;
-            }
+    if (cache_dir.empty()) {
+        session.enableCache();
+    } else if (workers > 0) {
+        // Pooled mode: the WORKERS open the shared cache; the parent
+        // only checks the directory is usable instead of loading a
+        // potentially large file it would never read.
+        std::error_code ec;
+        std::filesystem::create_directories(cache_dir, ec);
+        if (ec || !std::filesystem::is_directory(cache_dir)) {
+            std::cerr << "cannot open cache dir: " << cache_dir << "\n";
+            return 2;
         }
+    } else if (!session.attachDiskCache(cache_dir)->ok()) {
+        std::cerr << "cannot open cache dir: " << cache_dir << "\n";
+        return 2;
     }
 
     if (workload_names.empty())
@@ -1449,19 +1441,6 @@ main(int argc, char **argv)
     if (command == "--help" || command == "help") {
         usage(std::cout);
         return 0;
-    }
-    if (command == "--list") {
-        // Deprecated flag spelling of `list`.
-        std::cerr << "note: '--list' is deprecated; use "
-                     "'simulate_cli list'\n";
-        return cmdList(std::move(args));
-    }
-    if (!command.empty() && command[0] == '-') {
-        // Deprecated flag-style invocation: route to `run`.
-        std::cerr << "note: flag-style invocation is deprecated; use "
-                     "'simulate_cli run ...'\n";
-        args.next = 0;
-        return cmdRun(std::move(args));
     }
     std::cerr << "error: unknown command '" << command << "'\n\n";
     usage(std::cerr);

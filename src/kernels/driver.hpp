@@ -43,9 +43,9 @@ Measurement simulateLayer(const Workload &workload, u32 layer_n,
  * designs.  Runtime is reported in core cycles (2 GHz core, engines at
  * 0.5 GHz through the 4x clock divider).
  *
- * Legacy shim: delegates to sim::SweepRunner over ad-hoc registries
- * (an intentional upward dependency inside the single static
- * library).  New code should build a sim::figure13Grid directly.
+ * Runs a sim::figure13Grid through Session::runBatch over ad-hoc
+ * registries (an intentional upward dependency inside the single
+ * static library).  New code should use a sim::Session directly.
  */
 std::vector<Measurement>
 figure13Sweep(const std::vector<Workload> &workloads,

@@ -54,7 +54,7 @@ struct ClientRun
     std::vector<JobResult> results;
 
     /** Simulations the server performed for THIS batch (0 = all
-     *  answered from its warm caches). */
+     *  answered from its warm store). */
     u64 simulationsPerformed = 0;
 
     /** Analytical evaluations the server performed for this batch. */

@@ -2,8 +2,8 @@
 
 #include <cmath>
 
-#include "sim/cache.hpp"
 #include "sim/disk_cache.hpp"
+#include "sim/job.hpp"
 #include "sim/request.hpp"
 #include "sim/session.hpp"
 

@@ -15,29 +15,13 @@ namespace vegeta::sim {
 
 namespace {
 
-// Disk-cache traffic counters (distinct from the session-level
-// probe counters: these count every call into THIS cache object).
-void
-countCacheHit()
-{
-    static const telemetry::MetricId id =
-        telemetry::counterId("cache.disk.hit");
-    telemetry::add(id, 1);
-}
-
-void
-countCacheMiss()
-{
-    static const telemetry::MetricId id =
-        telemetry::counterId("cache.disk.miss");
-    telemetry::add(id, 1);
-}
-
+// Entries stored by insert()/insertAnalysis().  Lookups are counted
+// by their one caller, the Session (session.cache.hit/miss).
 void
 countCacheInsert()
 {
     static const telemetry::MetricId id =
-        telemetry::counterId("cache.disk.insert");
+        telemetry::counterId("cache.insert");
     telemetry::add(id, 1);
 }
 
@@ -188,6 +172,8 @@ void
 DiskResultCache::saveLastPruneLocked(u64 reclaimed)
 {
     last_prune_bytes_ = reclaimed;
+    if (!persistent())
+        return;
     std::ofstream os(prune_note_file_, std::ios::trunc);
     if (!os)
         return; // stats fall back to this process's value
@@ -262,11 +248,9 @@ DiskResultCache::find(const std::string &key) const
     const auto it = entries_.find(key);
     if (it == entries_.end()) {
         ++misses_;
-        countCacheMiss();
         return std::nullopt;
     }
     ++hits_;
-    countCacheHit();
     return it->second;
 }
 
@@ -295,11 +279,9 @@ DiskResultCache::findAnalysis(const std::string &key) const
     const auto it = analyses_.find(key);
     if (it == analyses_.end()) {
         ++misses_;
-        countCacheMiss();
         return std::nullopt;
     }
     ++hits_;
-    countCacheHit();
     return it->second;
 }
 
@@ -333,6 +315,8 @@ DiskResultCache::formatEntryLocked(RecordKind kind,
 bool
 DiskResultCache::rewriteLocked()
 {
+    if (!persistent())
+        return true;
     std::string text = formatHeader();
     text += '\n';
     for (const auto &[kind, key] : order_) {
@@ -346,6 +330,8 @@ DiskResultCache::rewriteLocked()
 bool
 DiskResultCache::appendRecordLocked(const std::string &record)
 {
+    if (!persistent())
+        return true;
     LockedFile file(file_);
     if (!file.ok())
         return false;
@@ -494,7 +480,7 @@ DiskResultCache::mergeFrom(const DiskResultCache &source)
         appended += formatEntryLocked(kind, key);
         appended += '\n';
     }
-    if (merge.added == 0)
+    if (merge.added == 0 || !persistent())
         return merge;
     if (needs_rewrite_) {
         if (rewriteLocked())
@@ -515,6 +501,8 @@ DiskResultCache::mergeFrom(const DiskResultCache &source)
 u64
 DiskResultCache::fileBytesLocked() const
 {
+    if (!persistent())
+        return 0;
     std::error_code ec;
     const auto bytes = std::filesystem::file_size(file_, ec);
     return ec ? 0 : static_cast<u64>(bytes);

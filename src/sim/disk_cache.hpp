@@ -1,13 +1,22 @@
 /**
  * @file
- * Persistent (on-disk) result caching.
+ * The session's one result store.
  *
- * The in-memory ResultCache dies with the process; the DiskResultCache
- * persists results across runs so a warm sweep replays nothing.  Both
- * halves of the evaluation are persisted: simulation results keyed by
- * the canonical cacheKey serialization and analytical results keyed by
- * analyticalKey, stored as type-tagged records (one per line) in a
- * version-headed text file under the cache directory.
+ * Simulation and analysis are pure functions of their requests, so
+ * one memoized result per canonical key is the only cache the model
+ * needs: the Figure 13 grid, its geomean summaries and the tuner all
+ * resolve to the same keys.  A DiskResultCache holds simulation
+ * results keyed by the canonical cacheKey serialization and
+ * analytical results keyed by analyticalKey (both in sim/job.hpp).
+ * Equal keys imply bit-identical results, so consulting the store
+ * never changes an answer -- only how often the model actually runs.
+ *
+ * The store has two modes.  Built without a directory it is a
+ * memory-only map that never touches the file system and dies with
+ * the process.  Built with one it also persists every entry as a
+ * type-tagged record (one per line) in a version-headed text file
+ * under that directory, so a warm sweep in a later process replays
+ * nothing.
  *
  * The load path is corruption-tolerant by construction: a missing
  * file is an empty cache, a version-mismatched header (including a v1
@@ -86,34 +95,44 @@ struct DiskCacheMerge
 };
 
 /**
- * Thread-safe persistent map from canonical request keys to results,
- * backed by `<directory>/results.vgc`.  The file is read once on
- * construction and appended to on insert, so sessions (and pool
- * worker processes) pointed at the same directory share results.
- * First insert wins, matching ResultCache.
+ * Thread-safe map from canonical request keys to results, optionally
+ * backed by `<directory>/results.vgc`.  A persistent store reads the
+ * file once on construction and appends to it on insert, so sessions
+ * (and pool worker processes) pointed at the same directory share
+ * results.  First insert wins: equal keys imply equal results, so a
+ * later insert under a held key is a no-op.
  */
 class DiskResultCache
 {
   public:
+    /** A memory-only store: no directory, no file, ever. */
+    DiskResultCache() = default;
+
     /**
-     * Open (creating the directory and file as needed) the cache
-     * under @p directory.  Check ok() before relying on persistence;
-     * a cache that failed to open still works as an in-memory map.
+     * Open (creating the directory and file as needed) a persistent
+     * store under @p directory.  Check ok() before relying on
+     * persistence; a store that failed to open still works as a
+     * memory-only map.
      */
     explicit DiskResultCache(const std::string &directory);
 
     /** False when the directory/file could not be created or read. */
     bool ok() const { return ok_; }
 
+    /** True when built with a directory (entries persist). */
+    bool persistent() const { return !directory_.empty(); }
+
+    /** The backing directory ("" for a memory-only store). */
     const std::string &directory() const { return directory_; }
 
-    /** Full path of the backing file. */
+    /** Full path of the backing file ("" for a memory-only store). */
     const std::string &filePath() const { return file_; }
 
     /** The cached result for key, or nullopt (counts a hit/miss). */
     std::optional<SimulationResult> find(const std::string &key) const;
 
-    /** Persist a result under key (first insert wins, flushed). */
+    /** Store a result under key (first insert wins; a persistent
+     *  store also appends it to the file, flushed). */
     void insert(const std::string &key,
                 const SimulationResult &result);
 
@@ -121,7 +140,7 @@ class DiskResultCache
     std::optional<AnalyticalResult>
     findAnalysis(const std::string &key) const;
 
-    /** Persist an analytical result (first insert wins, flushed). */
+    /** Store an analytical result (first insert wins, flushed). */
     void insertAnalysis(const std::string &key,
                         const AnalyticalResult &result);
 
@@ -181,7 +200,7 @@ class DiskResultCache
     std::string directory_;
     std::string file_;
     std::string prune_note_file_;
-    bool ok_ = false;
+    bool ok_ = true;
     bool needs_rewrite_ = false;
 
     mutable std::mutex mutex_;

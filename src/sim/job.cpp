@@ -30,6 +30,28 @@ Job::analyze(AnalyticalRequest request)
 }
 
 std::string
+cacheKey(const SimulationRequest &request)
+{
+    const cpu::CoreConfig &core = request.core;
+    const cpu::CacheConfig &l1 = core.cache;
+    std::ostringstream key;
+    key << "v1|" << request.label << '|' << request.gemm.m << 'x'
+        << request.gemm.n << 'x' << request.gemm.k << '|'
+        << request.engine << '|' << request.patternN << '|'
+        << (request.outputForwarding ? 1 : 0) << '|'
+        << kernelVariantName(request.kernel) << '|' << request.cBlocking
+        << '|' << core.fetchWidth << ',' << core.retireWidth << ','
+        << core.robEntries << ',' << core.loadBufferEntries << ','
+        << core.frontEndDepth << ',' << core.numAlus << ','
+        << core.numLsuPorts << ',' << core.numVectorFus << ','
+        << core.vectorFmaLatency << ',' << core.engineClockDivider
+        << ',' << (core.outputForwarding ? 1 : 0) << '|' << l1.lineBytes
+        << ',' << l1.l1Sets << ',' << l1.l1Ways << ',' << l1.l1Latency
+        << ',' << l1.l2Latency;
+    return key.str();
+}
+
+std::string
 analyticalKey(const AnalyticalRequest &request)
 {
     std::ostringstream key;
@@ -56,7 +78,8 @@ jobKey(const Job &job)
 {
     if (job.kind == JobKind::Analysis)
         return "ana|" + analyticalKey(job.analysis);
-    return "sim|" + cacheKey(job.simulation);
+    return std::string(kSimulationKeyPrefix) +
+           cacheKey(job.simulation);
 }
 
 JobBuilder::JobBuilder(const EngineRegistry &engines,
@@ -209,7 +232,7 @@ JobBuilder::build()
         return Job::analyze(std::move(request));
     }
 
-    // Simulation job: the old RequestBuilder contract.
+    // Simulation job: one target, one engine.
     if (!params_.empty() || !options_.empty())
         fail("param/option require an analytical model()");
     else if (workload_names_.size() > 1)

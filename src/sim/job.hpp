@@ -11,17 +11,23 @@
  * Session::runBatch treats them uniformly (keyed dedupe, thread pool,
  * deterministic output order).
  *
- * JobBuilder subsumes RequestBuilder validation: every name is
- * checked against the session's registries, errors are collected
- * first-wins, and build() only returns a Job that the Session is
- * guaranteed to run.
+ * JobBuilder is the one validating builder: every name is checked
+ * against the session's registries, errors are collected first-wins,
+ * and build() only returns a Job that the Session is guaranteed to
+ * run.
+ *
+ * The canonical keys live here too: cacheKey and analyticalKey key
+ * the session's result store, and jobKey (kind-prefixed) keys batch
+ * dedupe, so "the same work" means one thing everywhere.
  */
 
 #ifndef VEGETA_SIM_JOB_HPP
 #define VEGETA_SIM_JOB_HPP
 
+#include <string_view>
+
 #include "sim/analytical.hpp"
-#include "sim/cache.hpp"
+#include "sim/registry.hpp"
 #include "sim/request.hpp"
 #include "sim/result.hpp"
 
@@ -52,17 +58,30 @@ struct Job
 };
 
 /**
+ * Canonical key of a simulation request: every field that can
+ * influence the produced SimulationResult (label echo, GEMM dims,
+ * engine, pattern, OF, kernel variant, C blocking, and the full core
+ * configuration), joined with '|' in a fixed order.  Version-prefixed
+ * so persisted keys can never collide across format changes.
+ */
+std::string cacheKey(const SimulationRequest &request);
+
+/**
  * Canonical serialization of an analytical request: model, workload
  * and engine lists, and every parameter/option, in a fixed order with
  * full double precision.  Version-prefixed like cacheKey.
  */
 std::string analyticalKey(const AnalyticalRequest &request);
 
+/** jobKey's prefix of a simulation job, followed by its cacheKey. */
+inline constexpr std::string_view kSimulationKeyPrefix = "sim|";
+
 /**
  * Canonical key of a job, kind-prefixed so a simulation and an
- * analysis can never collide.  Simulation jobs reuse cacheKey, so a
- * Job keyed for batch dedupe and a request keyed for the result
- * caches agree about what "the same work" means.
+ * analysis can never collide.  A simulation job's key is
+ * kSimulationKeyPrefix + cacheKey, so a Job keyed for batch dedupe
+ * and a request keyed for the result store agree about what "the
+ * same work" means.
  */
 std::string jobKey(const Job &job);
 
@@ -81,10 +100,10 @@ struct JobResult
 /**
  * Fluent, validating builder for both job kinds.  Calling model()
  * makes the job analytical; otherwise build() produces a simulation
- * job under exactly the old RequestBuilder rules.  Name lookups fail
- * eagerly (first error wins); cross-kind constraints (a pattern on an
- * analytical job, a param on a simulation job) are checked at
- * build().
+ * job of exactly one workload or GEMM target and exactly one engine.
+ * Name lookups fail eagerly (first error wins); cross-kind
+ * constraints (a pattern on an analytical job, a param on a
+ * simulation job) are checked at build().
  *
  *   auto job = session.job()
  *                  .workload("BERT-L1")

@@ -309,7 +309,7 @@ ProcessPool::run(const Session &session,
     out.stats.uniqueJobs = keyed.keys.size();
 
     // Batch-size planner: small batches skip the process pool
-    // entirely.  A fresh builtin Session with the same caches the
+    // entirely.  A fresh builtin Session with the same store the
     // workers would attach keeps the result (and the cache file)
     // bit-identical to the pooled path.
     const u32 min_pooled = options_.minPooledJobs == 0
@@ -320,14 +320,10 @@ ProcessPool::run(const Session &session,
             telemetry::counterId("pool.fallback");
         telemetry::add(fallback_id, 1);
         Session local;
-        local.enableCache();
-        if (!options_.cacheDir.empty()) {
-            const auto disk =
-                local.attachDiskCache(options_.cacheDir);
-            if (!disk->ok())
-                return fail("cannot open cache dir: " +
-                            options_.cacheDir);
-        }
+        if (options_.cacheDir.empty())
+            local.enableCache();
+        else if (!local.attachDiskCache(options_.cacheDir)->ok())
+            return fail("cannot open cache dir: " + options_.cacheDir);
         out.results = local.runBatch(jobs, options_.threadsPerWorker);
         out.stats.simulationsPerformed = local.simulationsPerformed();
         out.stats.analysesPerformed = local.analysesPerformed();
@@ -397,14 +393,12 @@ poolWorkerMain(const std::vector<std::string> &args)
     }
 
     Session session;
-    session.enableCache();
-    if (!cache_dir.empty()) {
-        const auto disk = session.attachDiskCache(cache_dir);
-        if (!disk->ok()) {
-            std::cerr << "pool worker: cannot open cache dir: "
-                      << cache_dir << "\n";
-            return 4;
-        }
+    if (cache_dir.empty()) {
+        session.enableCache();
+    } else if (!session.attachDiskCache(cache_dir)->ok()) {
+        std::cerr << "pool worker: cannot open cache dir: " << cache_dir
+                  << "\n";
+        return 4;
     }
 
     // Frames own the stdout pipe: anything else this process prints

@@ -161,7 +161,8 @@ struct PoolOptions
     /** Worker processes to spawn (capped at the unique-job count). */
     u32 workers = 2;
 
-    /** Shared persistent result-cache directory ("" = no cache). */
+    /** Shared persistent result-cache directory ("" = each worker
+     *  keeps a memory-only store). */
     std::string cacheDir;
 
     /**
@@ -190,7 +191,7 @@ struct PoolOptions
     /**
      * Batch-size planner: batches with fewer UNIQUE jobs than this
      * run on an in-process fallback (a fresh builtin Session with
-     * the same caches the workers would attach) instead of paying
+     * the same store the workers would attach) instead of paying
      * worker spawn and frame overhead that the committed trajectory
      * shows losing on small batches.  0 picks the measured default
      * crossover (defaultPoolCrossoverJobs()); 1 means "always use

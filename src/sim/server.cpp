@@ -260,7 +260,7 @@ SimServer::Impl::start(std::string *error)
     // Workers are exec'd, so spawning them after the socket exists
     // is safe: every descriptor here is close-on-exec.  In worker
     // mode the server's own session only validates batches (workers
-    // own their caches); in-process execution wants warm caches.
+    // own their stores); in-process execution wants a warm store.
     if (options.serviceWorkers > 0) {
         workers = WorkerSet::spawn(options.serviceWorkers,
                                    options.cacheDir, options.threads,
@@ -269,16 +269,11 @@ SimServer::Impl::start(std::string *error)
             stop();
             return false;
         }
-    } else {
+    } else if (options.cacheDir.empty()) {
         session.enableCache();
-        if (!options.cacheDir.empty()) {
-            const auto disk = session.attachDiskCache(options.cacheDir);
-            if (!disk->ok()) {
-                stop();
-                return fail("cannot open cache dir: " +
-                            options.cacheDir);
-            }
-        }
+    } else if (!session.attachDiskCache(options.cacheDir)->ok()) {
+        stop();
+        return fail("cannot open cache dir: " + options.cacheDir);
     }
 
     startNs = telemetry::nowNs();
@@ -773,15 +768,11 @@ SimServer::Impl::statsJson()
 
     u64 cache_hits = 0, cache_misses = 0;
     if (workerMetrics.empty()) {
-        cache_hits = local.counter("session.cache.hit.memory") +
-                     local.counter("session.cache.hit.disk");
+        cache_hits = local.counter("session.cache.hit");
         cache_misses = local.counter("session.cache.miss");
     } else {
         cache_hits =
-            sumWorkerCounter(workerMetrics,
-                             "session.cache.hit.memory") +
-            sumWorkerCounter(workerMetrics,
-                             "session.cache.hit.disk");
+            sumWorkerCounter(workerMetrics, "session.cache.hit");
         cache_misses =
             sumWorkerCounter(workerMetrics, "session.cache.miss");
     }
@@ -835,10 +826,7 @@ SimServer::Impl::statsJson()
        << ", \"per_worker\": [";
     for (std::size_t w = 0; w < workerMetrics.size(); ++w) {
         const u64 w_hits =
-            snapshotCounter(workerMetrics[w],
-                            "session.cache.hit.memory") +
-            snapshotCounter(workerMetrics[w],
-                            "session.cache.hit.disk");
+            snapshotCounter(workerMetrics[w], "session.cache.hit");
         const u64 w_misses = snapshotCounter(workerMetrics[w],
                                              "session.cache.miss");
         const u64 w_total = w_hits + w_misses;
@@ -904,7 +892,7 @@ SimServer::serveMain(const ServerOptions &options)
     std::cerr << "serve: listening on " << server.address()
               << " (service workers: " << options.serviceWorkers
               << ", cache: "
-              << (options.cacheDir.empty() ? std::string("off")
+              << (options.cacheDir.empty() ? std::string("memory")
                                            : options.cacheDir)
               << ")\n";
 

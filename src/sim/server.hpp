@@ -10,8 +10,9 @@
  * overhead model losing: pool_sweep slows DOWN as workers grow on
  * small batches).  The server inverts both costs:
  *
- *  - registries and both caches are built once and stay warm; a
- *    repeated sweep from any client performs zero simulations;
+ *  - registries and the result store are built once and stay warm;
+ *    a repeated sweep or analysis from any client performs zero
+ *    simulations and zero analyses;
  *  - worker processes are spawned ONCE at startup -- the same exec'd
  *    pipe workers the process pool uses (sim/pool's WorkerSet) --
  *    and fed job batches over pipes speaking the same wire frames

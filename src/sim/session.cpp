@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <map>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 
@@ -84,20 +85,12 @@ struct StreamGroup
     std::vector<std::vector<std::size_t>> classes;
 };
 
-// Cache-probe outcome counters, shared by every probe site.
+// Store-probe outcome counters, shared by every probe site.
 void
-countMemoryHit()
+countHit()
 {
     static const telemetry::MetricId id =
-        telemetry::counterId("session.cache.hit.memory");
-    telemetry::add(id, 1);
-}
-
-void
-countDiskHit()
-{
-    static const telemetry::MetricId id =
-        telemetry::counterId("session.cache.hit.disk");
+        telemetry::counterId("session.cache.hit");
     telemetry::add(id, 1);
 }
 
@@ -129,87 +122,62 @@ Session::Session(EngineRegistry engines, WorkloadRegistry workloads,
 {
 }
 
-RequestBuilder
-Session::request() const
-{
-    return RequestBuilder(engines_, workloads_);
-}
-
 JobBuilder
 Session::job() const
 {
     return JobBuilder(engines_, workloads_, analytics_);
 }
 
-void
-Session::setCache(std::shared_ptr<ResultCache> cache)
-{
-    cache_ = std::move(cache);
-}
-
-std::shared_ptr<ResultCache>
+std::shared_ptr<DiskResultCache>
 Session::enableCache()
 {
-    cache_ = std::make_shared<ResultCache>();
+    if (!cache_)
+        cache_ = std::make_shared<DiskResultCache>();
     return cache_;
 }
 
 std::shared_ptr<DiskResultCache>
 Session::attachDiskCache(const std::string &directory)
 {
-    disk_cache_ = std::make_shared<DiskResultCache>(directory);
-    return disk_cache_;
+    cache_ = std::make_shared<DiskResultCache>(directory);
+    return cache_;
 }
 
 void
 Session::setDiskCache(std::shared_ptr<DiskResultCache> cache)
 {
-    disk_cache_ = std::move(cache);
+    cache_ = std::move(cache);
 }
 
 SimulationResult
 Session::run(const SimulationRequest &request,
              cpu::Trace *trace_out) const
 {
-    if (!cache_ && !disk_cache_)
+    if (!cache_)
         return runUncached(request, trace_out);
 
     const std::string key = cacheKey(request);
     // Callers wanting the generated trace always pay the generation
-    // pass -- a cache hit has no trace to hand back -- but their
-    // result still warms the caches for later trace-less runs.
+    // pass -- a store hit has no trace to hand back -- but their
+    // result still warms the store for later trace-less runs.
     if (!trace_out) {
-        if (auto hit = probeCaches(key))
+        if (auto hit = probeCache(key))
             return *hit;
     }
     const SimulationResult result = runUncached(request, trace_out);
-    if (cache_)
-        cache_->insert(key, result);
-    if (disk_cache_)
-        disk_cache_->insert(key, result);
+    cache_->insert(key, result);
     return result;
 }
 
 std::optional<SimulationResult>
-Session::probeCaches(const std::string &key) const
+Session::probeCache(const std::string &key) const
 {
-    if (cache_) {
-        if (auto hit = cache_->find(key)) {
-            countMemoryHit();
-            return hit;
-        }
-    }
-    if (disk_cache_) {
-        if (auto hit = disk_cache_->find(key)) {
-            // Promote: later repeats hit memory, not the disk map.
-            countDiskHit();
-            if (cache_)
-                cache_->insert(key, *hit);
-            return hit;
-        }
-    }
-    countMiss();
-    return std::nullopt;
+    auto hit = cache_->find(key);
+    if (hit)
+        countHit();
+    else
+        countMiss();
+    return hit;
 }
 
 SimulationResult
@@ -303,24 +271,24 @@ Session::analyze(const AnalyticalRequest &request) const
         analytics_.find(request.model);
     static const telemetry::MetricId analyses_id =
         telemetry::counterId("session.analyses");
-    if (!disk_cache_) {
+    if (!cache_) {
         analyses_.fetch_add(1, std::memory_order_relaxed);
         telemetry::add(analyses_id, 1);
         return (*backend)(*this, request);
     }
-    // Analytical results persist like simulation results: equal
+    // Analytical results are stored like simulation results: equal
     // canonical keys imply bit-identical tables (backends are pure
-    // functions of the request), so a warm cache skips the backend.
+    // functions of the request), so a warm store skips the backend.
     const std::string key = analyticalKey(request);
-    if (auto hit = disk_cache_->findAnalysis(key)) {
-        countDiskHit();
+    if (auto hit = cache_->findAnalysis(key)) {
+        countHit();
         return *hit;
     }
     analyses_.fetch_add(1, std::memory_order_relaxed);
     telemetry::add(analyses_id, 1);
     countMiss();
     AnalyticalResult result = (*backend)(*this, request);
-    disk_cache_->insertAnalysis(key, result);
+    cache_->insertAnalysis(key, result);
     return result;
 }
 
@@ -424,8 +392,6 @@ Session::runStream(const std::vector<Job> &jobs,
                 stats.tileComputes);
             if (cache_)
                 cache_->insert(keys[i], result);
-            if (disk_cache_)
-                disk_cache_->insert(keys[i], result);
             results[i].simulation = std::move(result);
         }
     }
@@ -459,25 +425,29 @@ Session::runBatch(const std::vector<Job> &jobs, u32 threads) const
     // keys are guaranteed to produce bit-identical results, so only
     // the first occurrence runs; duplicates copy its slot afterwards.
     // The output is therefore identical to running every job -- for
-    // any thread count, caches on or off.
+    // any thread count, store on or off.
     std::vector<std::size_t> unique;
     std::vector<std::size_t> source(jobs.size());
     std::vector<Task> tasks;
-    // Cache keys of the simulation misses, published after replay.
+    // Every job's key; a unique simulation job's is then cut down to
+    // its store key, probed here and published after replay.
     std::vector<std::string> keys(jobs.size());
     {
         telemetry::Span plan_span("session.batch.plan", jobs.size());
-        std::unordered_map<std::string, std::size_t> first;
-        first.reserve(jobs.size());
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            const auto [it, inserted] =
-                first.emplace(jobKey(jobs[i]), i);
-            source[i] = it->second;
-            if (inserted)
-                unique.push_back(i);
+        {
+            // Views into keys[], which the probes below cut down.
+            std::unordered_map<std::string_view, std::size_t> first;
+            first.reserve(jobs.size());
+            for (std::size_t i = 0; i < jobs.size(); ++i) {
+                keys[i] = jobKey(jobs[i]);
+                const auto [it, inserted] = first.emplace(keys[i], i);
+                source[i] = it->second;
+                if (inserted)
+                    unique.push_back(i);
+            }
         }
 
-        // Analysis jobs run alone; simulation jobs probe the caches
+        // Analysis jobs run alone; simulation jobs probe the store
         // here (one "session.job" span each, so a trace's span count
         // equals the batch's unique job count) and the misses group
         // by the uop stream they replay.
@@ -491,9 +461,10 @@ Session::runBatch(const std::vector<Job> &jobs, u32 threads) const
             telemetry::Span span("session.job");
             results[i].kind = JobKind::Simulation;
             const SimulationRequest &request = jobs[i].simulation;
-            if (cache_ || disk_cache_) {
-                keys[i] = cacheKey(request);
-                if (auto hit = probeCaches(keys[i])) {
+            if (cache_) {
+                // The job key is kSimulationKeyPrefix + cacheKey.
+                keys[i].erase(0, kSimulationKeyPrefix.size());
+                if (auto hit = probeCache(keys[i])) {
                     results[i].simulation = std::move(*hit);
                     continue;
                 }
@@ -681,22 +652,21 @@ figure13Grid(const Session &session,
                 const auto config = session.engines().find(engine);
                 VEGETA_ASSERT(config.has_value(),
                               "unregistered engine ", engine);
-                auto base = session.request()
+                auto base = session.job()
                                 .workload(workload)
                                 .engine(engine)
                                 .pattern(pattern);
                 auto no_of = base;
-                const auto request =
-                    no_of.outputForwarding(false).build();
-                VEGETA_ASSERT(request.has_value(), "bad grid request: ",
+                const auto job = no_of.outputForwarding(false).build();
+                VEGETA_ASSERT(job.has_value(), "bad grid request: ",
                               no_of.error());
-                grid.push_back(*request);
+                grid.push_back(job->simulation);
                 if (config->sparse) {
-                    const auto of_request =
+                    const auto of_job =
                         base.outputForwarding(true).build();
-                    VEGETA_ASSERT(of_request.has_value(),
+                    VEGETA_ASSERT(of_job.has_value(),
                                   "bad grid request: ", base.error());
-                    grid.push_back(*of_request);
+                    grid.push_back(of_job->simulation);
                 }
             }
         }
@@ -721,15 +691,15 @@ geomeanSpeedup(const Session &session,
     for (const bool test : {false, true}) {
         for (const auto &workload : workload_names) {
             auto builder =
-                session.request()
+                session.job()
                     .workload(workload)
                     .engine(test ? engine_name : baseline_name)
                     .pattern(layer_n)
                     .outputForwarding(test && output_forwarding);
-            const auto request = builder.build();
-            VEGETA_ASSERT(request.has_value(),
-                          "bad speedup request: ", builder.error());
-            requests.push_back(*request);
+            const auto job = builder.build();
+            VEGETA_ASSERT(job.has_value(), "bad speedup request: ",
+                          builder.error());
+            requests.push_back(job->simulation);
         }
     }
 

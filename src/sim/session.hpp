@@ -4,22 +4,21 @@
  * model.
  *
  * A Session owns the engine, workload, and analytical-model
- * registries, the in-memory ResultCache, and an optional persistent
- * DiskResultCache, and turns validated work descriptions into
- * results.  It speaks two levels of API:
+ * registries and an optional result store (sim/disk_cache.hpp), and
+ * turns validated work descriptions into results.  The store is in
+ * one of three states: none, memory-only, or persistent under a
+ * directory.  The Session speaks two levels of API:
  *
  *  - the typed pair level (SimulationRequest -> SimulationResult,
- *    AnalyticalRequest -> AnalyticalResult) kept from the original
- *    Simulator facade, and
+ *    AnalyticalRequest -> AnalyticalResult), and
  *  - the polymorphic Job level: a Job is a tagged variant of the two,
  *    runBatch() executes mixed job vectors on a worker pool with
  *    canonical-key dedupe, and the output is bit-for-bit identical
- *    for any thread count, with or without either cache attached.
+ *    for any thread count, in every store state.
  *
  * Everything above this layer (CLI, benches, sweeps) speaks only jobs
  * or request/result pairs; nothing above it wires engines, workloads,
- * or kernels by hand.  `Simulator` and `SweepRunner` remain as thin
- * deprecated shims over this class.
+ * or kernels by hand.
  */
 
 #ifndef VEGETA_SIM_SESSION_HPP
@@ -28,7 +27,6 @@
 #include <atomic>
 #include <memory>
 
-#include "sim/cache.hpp"
 #include "sim/disk_cache.hpp"
 #include "sim/job.hpp"
 #include "sim/request.hpp"
@@ -52,47 +50,37 @@ class Session
     const WorkloadRegistry &workloads() const { return workloads_; }
     const AnalyticalRegistry &analytics() const { return analytics_; }
 
-    /** A request builder bound to this session's registries. */
-    RequestBuilder request() const;
-
     /** A job builder bound to this session's registries. */
     JobBuilder job() const;
 
     /**
-     * Attach an in-memory result cache consulted by run() (and,
-     * through it, by every batch).  Caching never changes an answer
-     * -- equal cache keys imply bit-identical results -- it only
-     * skips re-simulating requests already seen.  Pass nullptr to
-     * disable.  The cache may be shared between sessions with
-     * identical registries.
+     * Attach a memory-only result store if none is attached (an
+     * attached store, persistent or not, is left alone) and return
+     * the attached store.  Caching never changes an answer -- equal
+     * keys imply bit-identical results -- it only skips re-running
+     * work already seen.
      */
-    void setCache(std::shared_ptr<ResultCache> cache);
-
-    /** Convenience: attach a fresh in-memory cache and return it. */
-    std::shared_ptr<ResultCache> enableCache();
-
-    /** The attached cache (nullptr when caching is off). */
-    const std::shared_ptr<ResultCache> &cache() const { return cache_; }
+    std::shared_ptr<DiskResultCache> enableCache();
 
     /**
-     * Attach a persistent cache under @p directory (created as
-     * needed), keyed by the same canonical serialization as the
-     * in-memory cache and consulted after it.  Results survive the
-     * process: a second Session attached to the same directory
-     * replays nothing the first one already simulated.  Returns the
-     * cache so callers can read stats(); check ok() on it if
-     * persistence matters.
+     * Replace the store with a persistent one under @p directory
+     * (created as needed).  Results survive the process: a second
+     * Session attached to the same directory replays nothing the
+     * first one already simulated.  Returns the store so callers can
+     * read stats(); check ok() on it if persistence matters.
      */
     std::shared_ptr<DiskResultCache>
     attachDiskCache(const std::string &directory);
 
-    /** Attach a (possibly shared) persistent cache, or nullptr. */
+    /** Replace the store with a (possibly shared) one, or nullptr.
+     *  A store may be shared between sessions with identical
+     *  registries. */
     void setDiskCache(std::shared_ptr<DiskResultCache> cache);
 
-    /** The attached persistent cache (nullptr when off). */
-    const std::shared_ptr<DiskResultCache> &diskCache() const
+    /** The attached result store (nullptr when caching is off). */
+    const std::shared_ptr<DiskResultCache> &cache() const
     {
-        return disk_cache_;
+        return cache_;
     }
 
     /**
@@ -150,7 +138,7 @@ class Session
      * Jobs that repeat within the batch (equal canonical job keys)
      * run once and fan their result out to every duplicate slot.
      *
-     * Simulation jobs that miss the caches group by the uop stream
+     * Simulation jobs that miss the store group by the uop stream
      * they replay (padded GEMM, executed N, kernel variant and
      * blocking, CacheConfig): each group is one task that emits and
      * cache-probes its stream once and replays it on a shared-stream
@@ -161,8 +149,7 @@ class Session
      *
      * Deterministic: the batch output is bit-for-bit identical for
      * any thread count and any grouping (each lane is bit-identical
-     * to a single-stream replay), with or without the in-memory or
-     * persistent caches attached.
+     * to a single-stream replay), in every result-store state.
      */
     std::vector<JobResult> runBatch(const std::vector<Job> &jobs,
                                     u32 threads = 0) const;
@@ -173,8 +160,8 @@ class Session
              u32 threads = 0) const;
 
     /**
-     * Core-model simulations this session actually performed (cache
-     * hits and batch dedupe excluded).  A warm persistent cache makes
+     * Core-model simulations this session actually performed (store
+     * hits and batch dedupe excluded).  A warm persistent store makes
      * a repeated sweep keep this at zero.
      */
     u64 simulationsPerformed() const
@@ -183,8 +170,8 @@ class Session
     }
 
     /**
-     * Analytical backends this session actually evaluated (persistent
-     * cache hits excluded, batch dedupe excluded).
+     * Analytical backends this session actually evaluated (store
+     * hits and batch dedupe excluded).
      */
     u64 analysesPerformed() const
     {
@@ -211,9 +198,9 @@ class Session
     SimulationResult runUncached(const SimulationRequest &request,
                                  cpu::Trace *trace_out) const;
 
-    /** Memory cache, then disk cache (promoting a disk hit). */
+    /** One lookup in the store (counted as a hit or a miss). */
     std::optional<SimulationResult>
-    probeCaches(const std::string &key) const;
+    probeCache(const std::string &key) const;
 
     /** The lane that replays @p request: core after coreFor, and
      *  its registered engine. */
@@ -238,8 +225,7 @@ class Session
     EngineRegistry engines_;
     WorkloadRegistry workloads_;
     AnalyticalRegistry analytics_;
-    std::shared_ptr<ResultCache> cache_;
-    std::shared_ptr<DiskResultCache> disk_cache_;
+    std::shared_ptr<DiskResultCache> cache_;
     mutable std::atomic<u64> simulations_{0};
     mutable std::atomic<u64> analyses_{0};
 };

@@ -54,17 +54,17 @@ calibrationGroup(const TunePoint &point)
 SimulationRequest
 requestFor(const Session &session, const TunePoint &point)
 {
-    auto builder = session.request();
-    auto request = builder.workload(point.workload)
-                       .engine(point.engine)
-                       .pattern(point.patternN)
-                       .outputForwarding(point.outputForwarding)
-                       .kernel(point.kernel)
-                       .cBlocking(point.cBlocking)
-                       .build();
-    VEGETA_ASSERT(request.has_value(), "tuner replayed invalid point: %s",
+    auto builder = session.job();
+    auto job = builder.workload(point.workload)
+                   .engine(point.engine)
+                   .pattern(point.patternN)
+                   .outputForwarding(point.outputForwarding)
+                   .kernel(point.kernel)
+                   .cBlocking(point.cBlocking)
+                   .build();
+    VEGETA_ASSERT(job.has_value(), "tuner replayed invalid point: %s",
                   builder.error().c_str());
-    return *request;
+    return job->simulation;
 }
 
 /** The measured Pareto front: ascending area, strictly better speed. */
@@ -143,12 +143,13 @@ Tuner::scoreCandidates(const TuneSpace &space,
 {
     (void)space;
 
-    // Train the optional cost model off the persistent cache once per
-    // search.  Below the sample threshold the prefilter rules alone.
+    // Train the optional cost model off the persistent store once
+    // per search.  Below the sample threshold the prefilter rules
+    // alone.
     std::optional<CostModel> model;
-    if (options_.useCostModel && session_.diskCache()) {
-        const auto samples =
-            harvestCostSamples(session_, *session_.diskCache());
+    const auto &store = session_.cache();
+    if (options_.useCostModel && store && store->persistent()) {
+        const auto samples = harvestCostSamples(session_, *store);
         report.costModelSamples = samples.size();
         if (samples.size() >= kMinCostSamples)
             model = CostModel::fit(samples);

@@ -17,7 +17,7 @@
  *     those records re-ranks the estimates.
  *  3. replay confirmation -- only the top-ranked points, strictly
  *     bounded by TuneBudget::replays, run the real cycle model via
- *     Session::runBatch (inheriting stream grouping and both caches) or
+ *     Session::runBatch (inheriting stream grouping and the store) or
  *     via a SimClient when an address is configured.
  *
  * Two search strategies share this funnel: CappedExhaustive scores

@@ -22,7 +22,6 @@
 #include "cpu/trace_cpu.hpp"
 #include "kernels/gemm_kernels.hpp"
 #include "sim/session.hpp"
-#include "sim/simulator.hpp"
 #include "sim/telemetry.hpp"
 
 namespace vegeta::sim {
@@ -99,19 +98,19 @@ const GoldenPoint kGolden[] = {
 
 TEST(GoldenCycles, MatrixIsBitIdenticalToPreRefactorModel)
 {
-    const Simulator simulator;
+    const Session session;
     for (const GoldenPoint &g : kGolden) {
         SCOPED_TRACE(std::string(g.engine) + " / " + g.workload +
                      " N=" + std::to_string(g.patternN) +
                      (g.outputForwarding ? " +OF" : ""));
-        auto request = simulator.request()
-                           .gemm(g.dims)
-                           .engine(g.engine)
-                           .pattern(g.patternN)
-                           .outputForwarding(g.outputForwarding)
-                           .build();
-        ASSERT_TRUE(request.has_value());
-        const SimulationResult result = simulator.run(*request);
+        auto job = session.job()
+                       .gemm(g.dims)
+                       .engine(g.engine)
+                       .pattern(g.patternN)
+                       .outputForwarding(g.outputForwarding)
+                       .build();
+        ASSERT_TRUE(job.has_value());
+        const SimulationResult result = session.run(job->simulation);
         EXPECT_EQ(result.coreCycles, g.coreCycles);
         EXPECT_EQ(result.instructions, g.instructions);
         EXPECT_EQ(result.engineInstructions, g.engineInstructions);
@@ -126,15 +125,15 @@ TEST(GoldenCycles, NaiveKernelPoint)
 {
     // Listing-1 kernel variant (C through memory inside the k loop),
     // captured from the same pre-refactor model.
-    const Simulator simulator;
-    auto request = simulator.request()
-                       .gemm(kernels::GemmDims{32, 32, 128})
-                       .engine("VEGETA-S-16-2")
-                       .pattern(2)
-                       .kernel(KernelVariant::Naive)
-                       .build();
-    ASSERT_TRUE(request.has_value());
-    const SimulationResult result = simulator.run(*request);
+    const Session session;
+    auto job = session.job()
+                   .gemm(kernels::GemmDims{32, 32, 128})
+                   .engine("VEGETA-S-16-2")
+                   .pattern(2)
+                   .kernel(KernelVariant::Naive)
+                   .build();
+    ASSERT_TRUE(job.has_value());
+    const SimulationResult result = session.run(job->simulation);
     EXPECT_EQ(result.coreCycles, 2027u);
     EXPECT_EQ(result.instructions, 245u);
     EXPECT_EQ(result.cacheHits, 396u);
@@ -146,20 +145,20 @@ TEST(GoldenCycles, BatchReplayMatchesStreamingRun)
 {
     // The facade's streaming path and a batch replay of the same
     // generated trace must agree on every golden point measurement.
-    const Simulator simulator;
+    const Session session;
     const GoldenPoint &g = kGolden[20]; // S-16-2, quick-square, N=2
-    auto request = simulator.request()
-                       .gemm(g.dims)
-                       .engine(g.engine)
-                       .pattern(g.patternN)
-                       .outputForwarding(g.outputForwarding)
-                       .build();
-    ASSERT_TRUE(request.has_value());
+    auto job = session.job()
+                   .gemm(g.dims)
+                   .engine(g.engine)
+                   .pattern(g.patternN)
+                   .outputForwarding(g.outputForwarding)
+                   .build();
+    ASSERT_TRUE(job.has_value());
     cpu::Trace trace;
-    simulator.run(*request, &trace); // batch path, trace captured
-    const SimulationResult streamed = simulator.run(*request);
+    session.run(job->simulation, &trace); // batch path, trace captured
+    const SimulationResult streamed = session.run(job->simulation);
     const SimulationResult replayed =
-        simulator.replay(trace, *request);
+        session.replay(trace, job->simulation);
     EXPECT_EQ(replayed.coreCycles, g.coreCycles);
     EXPECT_EQ(streamed.coreCycles, replayed.coreCycles);
     EXPECT_EQ(streamed.cacheHits, replayed.cacheHits);
@@ -174,14 +173,14 @@ goldenRequests()
     requests.reserve(std::size(kGolden));
     const Session session;
     for (const GoldenPoint &g : kGolden) {
-        auto request = session.request()
-                           .gemm(g.dims)
-                           .engine(g.engine)
-                           .pattern(g.patternN)
-                           .outputForwarding(g.outputForwarding)
-                           .build();
-        EXPECT_TRUE(request.has_value());
-        requests.push_back(*request);
+        auto job = session.job()
+                       .gemm(g.dims)
+                       .engine(g.engine)
+                       .pattern(g.patternN)
+                       .outputForwarding(g.outputForwarding)
+                       .build();
+        EXPECT_TRUE(job.has_value());
+        requests.push_back(job->simulation);
     }
     return requests;
 }

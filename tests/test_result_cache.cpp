@@ -1,58 +1,68 @@
 /**
  * @file
- * Result-cache and sweep-dedupe tests: caching and batch-level
- * deduplication must never change an answer -- results stay
- * bit-identical to the uncached, single-threaded path -- while each
- * unique request simulates exactly once.
+ * Result-store and batch-dedupe tests: a memory-only store keeps the
+ * first insert, never touches the file system, and -- like batch
+ * deduplication -- never changes an answer: results stay
+ * bit-identical to the uncached, single-threaded path while each
+ * unique job simulates exactly once.  A Session holds one store and
+ * probes it once per unique job.
  */
 
 #include <gtest/gtest.h>
 
-#include "sim/sweep.hpp"
+#include <filesystem>
+
+#include "expect_identical.hpp"
+#include "sim/session.hpp"
 
 namespace vegeta::sim {
 namespace {
 
-void
-expectIdentical(const SimulationResult &a, const SimulationResult &b)
+namespace fs = std::filesystem;
+
+/** A fresh (empty) directory under the test temp dir. */
+std::string
+freshDir(const std::string &name)
 {
-    EXPECT_EQ(a.workload, b.workload);
-    EXPECT_EQ(a.engine, b.engine);
-    EXPECT_EQ(a.layerN, b.layerN);
-    EXPECT_EQ(a.executedN, b.executedN);
-    EXPECT_EQ(a.outputForwarding, b.outputForwarding);
-    EXPECT_EQ(a.kernel, b.kernel);
-    EXPECT_EQ(a.coreCycles, b.coreCycles);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.engineInstructions, b.engineInstructions);
-    EXPECT_EQ(a.tileComputes, b.tileComputes);
-    EXPECT_EQ(a.macUtilization, b.macUtilization);
-    EXPECT_EQ(a.cacheHits, b.cacheHits);
-    EXPECT_EQ(a.cacheMisses, b.cacheMisses);
+    const fs::path dir =
+        fs::path(::testing::TempDir()) / "vegeta_result_cache" / name;
+    fs::remove_all(dir);
+    return dir.string();
+}
+
+SimulationResult
+sampleResult(const std::string &tag, double util)
+{
+    SimulationResult result;
+    result.workload = tag;
+    result.coreCycles = 42;
+    result.macUtilization = util;
+    return result;
 }
 
 SimulationRequest
-smallRequest(const Simulator &simulator, const std::string &engine,
+smallRequest(const Session &session, const std::string &engine,
              u32 pattern, bool of)
 {
-    auto builder = simulator.request()
+    auto builder = session.job()
                        .gemm(kernels::GemmDims{32, 32, 128})
                        .engine(engine)
                        .pattern(pattern)
                        .outputForwarding(of);
-    const auto request = builder.build();
-    EXPECT_TRUE(request.has_value()) << builder.error();
-    return *request;
+    const auto job = builder.build();
+    EXPECT_TRUE(job.has_value()) << builder.error();
+    return job ? job->simulation : SimulationRequest{};
 }
 
 TEST(CacheKey, DistinguishesEveryRequestField)
 {
-    const Simulator simulator;
+    const Session session;
     const SimulationRequest base =
-        smallRequest(simulator, "VEGETA-S-16-2", 2, false);
+        smallRequest(session, "VEGETA-S-16-2", 2, false);
 
     SimulationRequest other = base;
     EXPECT_EQ(cacheKey(base), cacheKey(other));
+    EXPECT_EQ(jobKey(Job::simulate(base)), "sim|" + cacheKey(base));
 
     other = base;
     other.label = "renamed";
@@ -95,151 +105,249 @@ TEST(CacheKey, DistinguishesEveryRequestField)
     EXPECT_NE(cacheKey(base), cacheKey(other));
 }
 
-TEST(ResultCache, FindInsertAndStats)
+TEST(MemoryStore, FindInsertAndStats)
 {
-    ResultCache cache(4);
+    DiskResultCache cache;
+    EXPECT_FALSE(cache.persistent());
+    EXPECT_TRUE(cache.ok());
     EXPECT_EQ(cache.size(), 0u);
     EXPECT_FALSE(cache.find("a").has_value());
 
-    SimulationResult result;
-    result.workload = "w";
-    result.coreCycles = 42;
-    cache.insert("a", result);
+    cache.insert("a", sampleResult("w", 0.25));
     EXPECT_EQ(cache.size(), 1u);
-
     const auto hit = cache.find("a");
     ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(hit->coreCycles, 42u);
+    expectIdenticalSim(*hit, sampleResult("w", 0.25));
 
     // First insert wins; re-inserting does not count.
-    SimulationResult other = result;
-    other.coreCycles = 43;
-    cache.insert("a", other);
-    EXPECT_EQ(cache.find("a")->coreCycles, 42u);
+    cache.insert("a", sampleResult("other", 0.5));
+    EXPECT_EQ(cache.find("a")->workload, "w");
 
-    const auto stats = cache.stats();
+    const DiskCacheStats stats = cache.stats();
     EXPECT_EQ(stats.hits, 2u);
     EXPECT_EQ(stats.misses, 1u);
     EXPECT_EQ(stats.insertions, 1u);
+    EXPECT_EQ(stats.loaded, 0u);
+    EXPECT_EQ(stats.simulationEntries, 1u);
+    EXPECT_EQ(stats.fileBytes, 0u);
 
     cache.clear();
     EXPECT_EQ(cache.size(), 0u);
 }
 
-TEST(ResultCache, CachedRunsAreBitIdentical)
+TEST(MemoryStore, CreatesNoFile)
 {
-    Simulator uncached;
-    Simulator cached;
-    const auto stats_cache = cached.enableCache();
+    // Run every operation of a memory-only store from inside an empty
+    // directory: none of them may create a file, here or anywhere
+    // else the store could name.
+    const fs::path dir = freshDir("memory_only");
+    fs::create_directories(dir);
+    const fs::path cwd = fs::current_path();
+    fs::current_path(dir);
+    {
+        Session session;
+        const auto store = session.enableCache();
+        EXPECT_TRUE(store->directory().empty());
+        EXPECT_TRUE(store->filePath().empty());
+        const SimulationRequest request =
+            smallRequest(session, "VEGETA-S-2-2", 2, false);
+        session.run(request);
+        session.runBatch(std::vector<SimulationRequest>{request}, 2);
+        AnalyticalRequest analysis;
+        analysis.model = "fig4-vector-vs-matrix";
+        session.analyze(analysis);
+        EXPECT_EQ(store->size(), 2u);
+
+        DiskResultCache other;
+        EXPECT_EQ(other.mergeFrom(*store).added, 2u);
+        EXPECT_EQ(other.prune(std::nullopt, 1).dropped, 1u);
+        other.clear();
+        EXPECT_EQ(other.stats().lastPruneBytes, 0u);
+    }
+    fs::current_path(cwd);
+    EXPECT_TRUE(fs::is_empty(dir));
+}
+
+TEST(MemoryStore, CachedRunsAreBitIdentical)
+{
+    Session uncached;
+    Session cached;
+    const auto store = cached.enableCache();
 
     const SimulationRequest request =
         smallRequest(cached, "VEGETA-S-2-2", 2, true);
     const auto first = cached.run(request);
-    const auto second = cached.run(request); // cache hit
+    const auto second = cached.run(request); // store hit
     const auto reference = uncached.run(request);
 
-    expectIdentical(first, reference);
-    expectIdentical(second, reference);
-    EXPECT_EQ(stats_cache->stats().insertions, 1u);
-    EXPECT_EQ(stats_cache->stats().hits, 1u);
+    expectIdenticalSim(first, reference);
+    expectIdenticalSim(second, reference);
+    EXPECT_EQ(store->stats().insertions, 1u);
+    EXPECT_EQ(store->stats().hits, 1u);
+    EXPECT_EQ(cached.simulationsPerformed(), 1u);
 }
 
-TEST(ResultCache, TraceOutBypassesCacheButStaysIdentical)
+TEST(MemoryStore, TraceOutBypassesCacheButStaysIdentical)
 {
-    Simulator simulator;
-    simulator.enableCache();
+    Session session;
+    const auto store = session.enableCache();
     const SimulationRequest request =
-        smallRequest(simulator, "VEGETA-S-2-2", 2, false);
+        smallRequest(session, "VEGETA-S-2-2", 2, false);
 
-    const auto cached = simulator.run(request); // populates cache
+    const auto cached = session.run(request); // populates the store
     cpu::Trace trace;
-    const auto with_trace = simulator.run(request, &trace);
-    expectIdentical(cached, with_trace);
+    const auto with_trace = session.run(request, &trace);
+    expectIdenticalSim(cached, with_trace);
     EXPECT_FALSE(trace.empty());
+    // The trace run never looked the request up.
+    EXPECT_EQ(store->stats().hits, 0u);
+    EXPECT_EQ(session.simulationsPerformed(), 2u);
 }
 
-TEST(SweepDedupe, DuplicateRequestsSimulateOnce)
+TEST(MemoryStore, DuplicateRequestsSimulateOnce)
 {
-    Simulator simulator;
-    const auto cache = simulator.enableCache();
+    Session session;
+    const auto store = session.enableCache();
 
     // 3 unique requests, each repeated 3 times, shuffled.
     const SimulationRequest a =
-        smallRequest(simulator, "VEGETA-D-1-2", 4, false);
+        smallRequest(session, "VEGETA-D-1-2", 4, false);
     const SimulationRequest b =
-        smallRequest(simulator, "VEGETA-S-2-2", 2, false);
+        smallRequest(session, "VEGETA-S-2-2", 2, false);
     const SimulationRequest c =
-        smallRequest(simulator, "VEGETA-S-2-2", 2, true);
+        smallRequest(session, "VEGETA-S-2-2", 2, true);
     const std::vector<SimulationRequest> batch{a, b, c, c, a, b,
                                               b, c, a};
 
-    const auto results = SweepRunner(simulator, 4).run(batch);
+    const auto results = session.runBatch(batch, 4);
     ASSERT_EQ(results.size(), batch.size());
 
     // Each unique request ran exactly once...
-    EXPECT_EQ(cache->stats().insertions, 3u);
-    EXPECT_EQ(cache->stats().misses, 3u);
+    EXPECT_EQ(store->stats().insertions, 3u);
+    EXPECT_EQ(store->stats().misses, 3u);
 
     // ...and duplicate slots carry the identical result.
-    Simulator reference;
+    const Session reference;
     for (std::size_t i = 0; i < batch.size(); ++i)
-        expectIdentical(results[i], reference.run(batch[i]));
+        expectIdenticalSim(results[i], reference.run(batch[i]));
 }
 
-TEST(SweepDedupe, CacheOnOffAndThreadCountsBitIdentical)
+TEST(MemoryStore, CacheOnOffAndThreadCountsBitIdentical)
 {
-    const Simulator simulator;
+    const Session session;
     std::vector<SimulationRequest> batch;
     for (const char *engine :
          {"VEGETA-D-1-2", "VEGETA-S-1-2", "VEGETA-S-16-2"}) {
         for (u32 pattern : {4u, 2u, 1u}) {
-            batch.push_back(
-                smallRequest(simulator, engine, pattern, false));
+            batch.push_back(smallRequest(session, engine, pattern,
+                                         false));
             // Repeat a subset so the dedupe path is exercised.
             if (pattern == 2)
                 batch.push_back(
-                    smallRequest(simulator, engine, pattern, false));
+                    smallRequest(session, engine, pattern, false));
         }
     }
 
-    const auto reference = SweepRunner(simulator, 1).run(batch);
+    const auto reference = session.runBatch(batch, 1);
 
-    Simulator cached_sim;
-    cached_sim.enableCache();
+    Session cached;
+    cached.enableCache();
     for (const u32 threads : {1u, 4u}) {
-        const auto plain = SweepRunner(simulator, threads).run(batch);
-        const auto cached =
-            SweepRunner(cached_sim, threads).run(batch);
+        const auto plain = session.runBatch(batch, threads);
+        const auto from_store = cached.runBatch(batch, threads);
         ASSERT_EQ(plain.size(), reference.size());
+        ASSERT_EQ(from_store.size(), reference.size());
         for (std::size_t i = 0; i < reference.size(); ++i) {
-            expectIdentical(plain[i], reference[i]);
-            expectIdentical(cached[i], reference[i]);
+            expectIdenticalSim(plain[i], reference[i]);
+            expectIdenticalSim(from_store[i], reference[i]);
         }
     }
 }
 
-TEST(SweepDedupe, GeomeanSpeedupMatchesCachedSimulator)
+TEST(MemoryStore, GeomeanSpeedupMatchesCachedSession)
 {
-    // geomeanSpeedup over a simulator with a warm cache must return
-    // the exact same ratio as over a cold, uncached one.
+    // geomeanSpeedup over a session with a warm store must return
+    // the exact same ratio as over a cold one with no store.
     const std::vector<std::string> workloads{"BERT-L1"};
 
-    Simulator cold;
+    Session cold;
     const double uncached = geomeanSpeedup(
         cold, workloads, 2, "VEGETA-S-16-2", true, "VEGETA-D-1-2", 1);
 
-    Simulator warm;
-    const auto cache = warm.enableCache();
+    Session warm;
+    const auto store = warm.enableCache();
     const double first = geomeanSpeedup(
         warm, workloads, 2, "VEGETA-S-16-2", true, "VEGETA-D-1-2", 2);
-    const u64 simulations = cache->stats().insertions;
+    const u64 simulations = store->stats().insertions;
     const double second = geomeanSpeedup(
         warm, workloads, 2, "VEGETA-S-16-2", true, "VEGETA-D-1-2", 2);
 
     EXPECT_EQ(uncached, first);
     EXPECT_EQ(uncached, second);
     // The second call re-simulated nothing.
-    EXPECT_EQ(cache->stats().insertions, simulations);
+    EXPECT_EQ(store->stats().insertions, simulations);
+}
+
+// --- One store per session -------------------------------------------
+
+TEST(SessionStore, EnableCacheKeepsAnAttachedStore)
+{
+    const std::string dir = freshDir("enable_keeps");
+    Session session;
+    EXPECT_EQ(session.cache(), nullptr);
+    const auto memory = session.enableCache();
+    EXPECT_EQ(session.enableCache(), memory);
+
+    // Attaching a directory replaces the memory-only store; enabling
+    // the cache afterwards leaves the persistent one in place.
+    const auto disk = session.attachDiskCache(dir);
+    ASSERT_TRUE(disk->ok());
+    EXPECT_TRUE(disk->persistent());
+    EXPECT_EQ(session.enableCache(), disk);
+    EXPECT_EQ(session.cache(), disk);
+
+    session.setDiskCache(nullptr);
+    EXPECT_EQ(session.cache(), nullptr);
+}
+
+TEST(SessionStore, ProbesTheStoreOncePerJob)
+{
+    const std::string dir = freshDir("probe_once");
+    Session session;
+    session.enableCache();
+    const auto store = session.attachDiskCache(dir);
+    ASSERT_TRUE(store->ok());
+
+    std::vector<Job> batch;
+    for (const char *engine : {"VEGETA-D-1-2", "VEGETA-S-2-2"})
+        for (const u32 pattern : {4u, 2u, 1u})
+            batch.push_back(Job::simulate(
+                smallRequest(session, engine, pattern, false)));
+    const u64 n = batch.size();
+
+    // Cold: one miss and one insert per job, no hit anywhere.
+    const auto cold = session.runBatch(batch, 2);
+    DiskCacheStats stats = store->stats();
+    EXPECT_EQ(stats.hits, 0u);
+    EXPECT_EQ(stats.misses, n);
+    EXPECT_EQ(stats.insertions, n);
+
+    // Warm, same session: one hit per job and nothing else.
+    expectIdenticalBatches(session.runBatch(batch, 2), cold);
+    stats = store->stats();
+    EXPECT_EQ(stats.hits, n);
+    EXPECT_EQ(stats.misses, n);
+    EXPECT_EQ(stats.insertions, n);
+
+    // Warm, a fresh session on the same directory: the same.
+    Session fresh;
+    const auto reopened = fresh.attachDiskCache(dir);
+    expectIdenticalBatches(fresh.runBatch(batch, 2), cold);
+    stats = reopened->stats();
+    EXPECT_EQ(stats.hits, n);
+    EXPECT_EQ(stats.misses, 0u);
+    EXPECT_EQ(stats.insertions, 0u);
+    EXPECT_EQ(fresh.simulationsPerformed(), 0u);
 }
 
 } // namespace

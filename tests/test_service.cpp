@@ -85,10 +85,8 @@ struct ServerFixture
         options.socketPath = dir + "/sim.sock";
         options.serviceWorkers = workers;
         options.threads = 2;
-        // Analytical results persist through the disk cache (the
-        // in-memory cache covers simulations), so a server that
-        // promises zero-work warm repeats for BOTH job kinds needs
-        // a cache dir.
+        // Persist the server's store, so worker mode (whose workers
+        // each keep their own store) shares one set of results.
         options.cacheDir = dir + "/cache";
         server = std::make_unique<SimServer>(options);
         std::string error;
@@ -146,6 +144,37 @@ TEST(Service, InProcessBatchIdenticalToLocalRunBatch)
 TEST(Service, WorkerModeBatchIdenticalToLocalRunBatch)
 {
     expectRemoteMatchesLocal(2, "workers");
+}
+
+TEST(Service, InProcessWithoutCacheDirSkipsWarmRepeats)
+{
+    // With no cache dir the in-process server keeps a memory-only
+    // store, which holds analyses as well as simulations: a warm
+    // repeat performs no work of either kind.
+    const std::string dir = freshSocketDir("nocachedir");
+    ServerOptions options;
+    options.socketPath = dir + "/sim.sock";
+    options.threads = 2;
+    SimServer server(options);
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+
+    ClientOptions client_options;
+    client_options.address = options.socketPath;
+    SimClient client(client_options);
+    ASSERT_TRUE(client.connect(&error)) << error;
+    const auto jobs = mixedBatch();
+    const auto cold = client.runBatch(jobs, &error);
+    ASSERT_TRUE(cold.has_value()) << error;
+    EXPECT_GT(cold->simulationsPerformed, 0u);
+    EXPECT_GT(cold->analysesPerformed, 0u);
+
+    const auto warm = client.runBatch(jobs, &error);
+    ASSERT_TRUE(warm.has_value()) << error;
+    expectIdenticalBatches(warm->results, cold->results);
+    EXPECT_EQ(warm->simulationsPerformed, 0u);
+    EXPECT_EQ(warm->analysesPerformed, 0u);
+    server.stop();
 }
 
 TEST(Service, BatchIdenticalToLocalWithTracingEnabled)

@@ -1,11 +1,10 @@
 /**
  * @file
- * Session/Job API tests: JobBuilder subsumes RequestBuilder
- * validation, job keys dedupe across kinds, and runBatch over a
- * MIXED trace+analytical job vector is bit-for-bit identical for 1
- * and N threads, with and without the in-memory and persistent
- * caches attached -- and a second batch against a warm on-disk cache
- * performs zero trace replays.
+ * Session/Job API tests: JobBuilder validation, job keys dedupe
+ * across kinds, and runBatch over a MIXED trace+analytical job vector
+ * is bit-for-bit identical for 1 and N threads in every result-store
+ * state (none, memory-only, persistent) -- and a second batch against
+ * a warm persistent store performs zero trace replays.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +13,7 @@
 #include <set>
 
 #include "expect_identical.hpp"
-#include "sim/sweep.hpp"
+#include "sim/session.hpp"
 #include "sim/telemetry.hpp"
 
 namespace vegeta::sim {
@@ -80,7 +79,7 @@ mixedBatch(const Session &session)
 
 // --- JobBuilder validation -------------------------------------------
 
-TEST(JobBuilder, SimulationJobMatchesRequestBuilder)
+TEST(JobBuilder, SimulationJobFillsEveryRequestField)
 {
     const Session session;
     auto jb = session.job()
@@ -92,15 +91,32 @@ TEST(JobBuilder, SimulationJobMatchesRequestBuilder)
     ASSERT_TRUE(job.has_value()) << jb.error();
     ASSERT_EQ(job->kind, JobKind::Simulation);
 
-    auto rb = session.request()
-                  .workload("BERT-L1")
-                  .engine("VEGETA-S-16-2")
-                  .pattern(2)
-                  .outputForwarding(true);
-    const auto request = rb.build();
-    ASSERT_TRUE(request.has_value());
-    // Same canonical key: the two builders describe identical work.
-    EXPECT_EQ(cacheKey(job->simulation), cacheKey(*request));
+    const SimulationRequest &request = job->simulation;
+    const auto workload = session.workloads().find("BERT-L1");
+    ASSERT_TRUE(workload.has_value());
+    EXPECT_EQ(request.label, "BERT-L1");
+    EXPECT_EQ(request.gemm.m, workload->gemm.m);
+    EXPECT_EQ(request.gemm.n, workload->gemm.n);
+    EXPECT_EQ(request.gemm.k, workload->gemm.k);
+    EXPECT_EQ(request.engine, "VEGETA-S-16-2");
+    EXPECT_EQ(request.patternN, 2u);
+    EXPECT_TRUE(request.outputForwarding);
+    // Unset knobs keep their documented defaults.
+    EXPECT_EQ(request.kernel, KernelVariant::Optimized);
+    EXPECT_EQ(request.cBlocking, 3u);
+
+    // Raw dims label the request "MxNxK".
+    const auto dims = session.job()
+                          .gemm("64x32x256")
+                          .engine("VEGETA-S-2-2")
+                          .build();
+    ASSERT_TRUE(dims.has_value());
+    EXPECT_EQ(dims->simulation.label, "64x32x256");
+    EXPECT_EQ(dims->simulation.gemm.m, 64u);
+    EXPECT_EQ(dims->simulation.gemm.n, 32u);
+    EXPECT_EQ(dims->simulation.gemm.k, 256u);
+    EXPECT_EQ(dims->simulation.patternN, 4u);
+    EXPECT_FALSE(dims->simulation.outputForwarding);
 }
 
 TEST(JobBuilder, RejectsUnknownNamesEagerly)
@@ -240,7 +256,7 @@ TEST(Session, MixedBatchBitIdenticalAcrossThreadsAndCaches)
     // Threads.
     expectIdenticalBatches(plain.runBatch(jobs, 4), reference);
 
-    // In-memory cache.
+    // Memory-only store.
     Session cached;
     cached.enableCache();
     expectIdenticalBatches(cached.runBatch(jobs, 1), reference);
@@ -249,7 +265,7 @@ TEST(Session, MixedBatchBitIdenticalAcrossThreadsAndCaches)
     // Persistent cache (cold, then warm, single- and multi-threaded).
     Session disk;
     disk.attachDiskCache(freshDir("mixed_batch"));
-    ASSERT_TRUE(disk.diskCache()->ok());
+    ASSERT_TRUE(disk.cache()->ok());
     expectIdenticalBatches(disk.runBatch(jobs, 4), reference);
     expectIdenticalBatches(disk.runBatch(jobs, 1), reference);
 }
@@ -260,10 +276,13 @@ TEST(Session, BatchDedupeRunsUniqueJobsOnce)
     const auto cache = session.enableCache();
     const auto jobs = mixedBatch(session);
     session.runBatch(jobs, 4);
-    // mixedBatch holds 3 unique trace jobs (one duplicated): each
-    // simulates exactly once.
+    // mixedBatch holds 3 unique trace jobs and 3 unique analyses
+    // (one of each duplicated): each runs exactly once, and the
+    // memory-only store keeps both kinds.
     EXPECT_EQ(session.simulationsPerformed(), 3u);
-    EXPECT_EQ(cache->stats().insertions, 3u);
+    EXPECT_EQ(session.analysesPerformed(), 3u);
+    EXPECT_EQ(cache->stats().simulationEntries, 3u);
+    EXPECT_EQ(cache->stats().analysisEntries, 3u);
 }
 
 TEST(Session, WarmDiskCacheSkipsEveryTraceReplay)
@@ -273,7 +292,7 @@ TEST(Session, WarmDiskCacheSkipsEveryTraceReplay)
     // Cold run: a first session populates the persistent cache.
     Session cold;
     cold.attachDiskCache(dir);
-    ASSERT_TRUE(cold.diskCache()->ok());
+    ASSERT_TRUE(cold.cache()->ok());
     const auto jobs = mixedBatch(cold);
     const auto cold_results = cold.runBatch(jobs, 4);
     EXPECT_EQ(cold.simulationsPerformed(), 3u);
@@ -289,30 +308,32 @@ TEST(Session, WarmDiskCacheSkipsEveryTraceReplay)
     expectIdenticalBatches(warm_results, cold_results);
     EXPECT_EQ(warm.simulationsPerformed(), 0u);
     EXPECT_EQ(warm.analysesPerformed(), 0u);
-    const auto stats = warm.diskCache()->stats();
+    const auto stats = warm.cache()->stats();
     EXPECT_EQ(stats.misses, 0u);
     // 3 unique trace jobs + 3 unique analytical jobs, all from disk.
     EXPECT_EQ(stats.hits, 6u);
 }
 
-TEST(Session, RequestOverloadMatchesSweepRunnerShim)
+TEST(Session, RequestOverloadMatchesJobBatch)
 {
     const Session session;
+    std::vector<Job> jobs;
     std::vector<SimulationRequest> requests;
     for (const char *engine : {"VEGETA-D-1-2", "VEGETA-S-2-2"}) {
-        const auto request = session.request()
-                                 .workload("quick-small")
-                                 .engine(engine)
-                                 .pattern(2)
-                                 .build();
-        ASSERT_TRUE(request.has_value());
-        requests.push_back(*request);
+        const auto job = session.job()
+                             .workload("quick-small")
+                             .engine(engine)
+                             .pattern(2)
+                             .build();
+        ASSERT_TRUE(job.has_value());
+        jobs.push_back(*job);
+        requests.push_back(job->simulation);
     }
     const auto direct = session.runBatch(requests, 2);
-    const auto shim = SweepRunner(session, 2).run(requests);
-    ASSERT_EQ(direct.size(), shim.size());
+    const auto via_jobs = session.runBatch(jobs, 2);
+    ASSERT_EQ(direct.size(), via_jobs.size());
     for (std::size_t i = 0; i < direct.size(); ++i)
-        expectIdenticalSim(direct[i], shim[i]);
+        expectIdenticalSim(direct[i], via_jobs[i].simulation);
 }
 
 // --- Stream grouping in runBatch -------------------------------------
@@ -410,9 +431,10 @@ TEST(StreamGrouping, MixedShareableAndUnshareableBatch)
 
 TEST(StreamGrouping, GroupsMixingCacheHitsAndMisses)
 {
-    // Some lanes of each stream hit the disk cache, some the memory
-    // cache, the rest miss: only the misses may replay, and every
-    // slot must still read the single-stream bytes.
+    // Some lanes of each stream hit entries loaded from disk, some
+    // hit entries this session stored itself, the rest miss: only
+    // the misses may replay, and every slot must still read the
+    // single-stream bytes.
     const Session builder;
     const auto jobs = quickGrid(builder);
     const auto reference = ungrouped(jobs);
@@ -433,9 +455,8 @@ TEST(StreamGrouping, GroupsMixingCacheHitsAndMisses)
             warmer.runBatch(on_disk, threads);
         }
         Session session;
-        session.enableCache();
         session.attachDiskCache(dir);
-        ASSERT_TRUE(session.diskCache()->ok());
+        ASSERT_TRUE(session.cache()->ok());
         session.runBatch(in_memory, threads);
         const u64 before = session.simulationsPerformed();
         expectIdenticalBatches(session.runBatch(jobs, threads),
@@ -567,7 +588,7 @@ TEST(TimingClasses, OneLayerReplaysEachTimingOnce)
 TEST(TimingClasses, CacheHitsOnSomeMembersOfAClass)
 {
     // Pre-warm one member of each merged class (and a singleton):
-    // the hits are served from the caches, their classmates still
+    // the hits are served from the store, their classmates still
     // replay, and every slot reads the single-job bytes.
     const auto jobs = oneLayer(Session());
     const auto reference = ungrouped(jobs);
@@ -593,14 +614,13 @@ TEST(TimingClasses, CacheHitsOnSomeMembersOfAClass)
             warmer.runBatch(warm, threads);
         }
         Session session;
-        session.enableCache();
         session.attachDiskCache(dir);
-        ASSERT_TRUE(session.diskCache()->ok());
+        ASSERT_TRUE(session.cache()->ok());
         expectIdenticalBatches(session.runBatch(jobs, threads),
                                reference);
         EXPECT_EQ(session.simulationsPerformed(),
                   jobs.size() - warm.size());
-        // Every miss landed in the caches under its own key.
+        // Every miss landed in the store under its own key.
         const u64 before = session.simulationsPerformed();
         expectIdenticalBatches(session.runBatch(jobs, threads),
                                reference);

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the vegeta::sim facade: request validation, registry
- * round-trips, facade/primitive equivalence, sweep determinism, and
- * result serialization.
+ * Tests for the vegeta::sim facade: simulation-job validation,
+ * registry round-trips, Session/primitive equivalence, batch
+ * determinism, and result serialization.
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +10,7 @@
 #include <sstream>
 
 #include "kernels/driver.hpp"
-#include "sim/sweep.hpp"
+#include "sim/session.hpp"
 
 namespace vegeta::sim {
 namespace {
@@ -41,86 +41,123 @@ TEST(GemmSpec, RejectsMalformed)
     EXPECT_FALSE(parseGemmSpec("ax bx c").has_value());
 }
 
-// --- RequestBuilder validation ---------------------------------------
+// --- JobBuilder validation of simulation jobs ------------------------
 
-TEST(RequestBuilder, BuildsValidRequest)
+TEST(SimulationBuilder, BuildsValidRequest)
 {
-    const Simulator simulator;
-    auto builder = simulator.request()
+    const Session session;
+    auto builder = session.job()
                        .workload("BERT-L1")
                        .engine("VEGETA-S-16-2")
                        .pattern(2)
                        .outputForwarding(true);
-    const auto request = builder.build();
-    ASSERT_TRUE(request.has_value());
-    EXPECT_EQ(request->label, "BERT-L1");
-    EXPECT_EQ(request->engine, "VEGETA-S-16-2");
-    EXPECT_EQ(request->patternN, 2u);
-    EXPECT_TRUE(request->outputForwarding);
+    const auto job = builder.build();
+    ASSERT_TRUE(job.has_value());
+    ASSERT_EQ(job->kind, JobKind::Simulation);
+    EXPECT_EQ(job->simulation.label, "BERT-L1");
+    EXPECT_EQ(job->simulation.engine, "VEGETA-S-16-2");
+    EXPECT_EQ(job->simulation.patternN, 2u);
+    EXPECT_TRUE(job->simulation.outputForwarding);
     EXPECT_TRUE(builder.error().empty());
 }
 
-TEST(RequestBuilder, RejectsUnknownEngine)
+TEST(SimulationBuilder, RejectsUnknownEngine)
 {
-    const Simulator simulator;
+    const Session session;
     auto builder =
-        simulator.request().workload("BERT-L1").engine("NOPE-9000");
+        session.job().workload("BERT-L1").engine("NOPE-9000");
     EXPECT_FALSE(builder.build().has_value());
-    EXPECT_NE(builder.error().find("unknown engine"),
-              std::string::npos);
+    EXPECT_EQ(builder.error(), "unknown engine: NOPE-9000");
 }
 
-TEST(RequestBuilder, RejectsUnknownWorkload)
+TEST(SimulationBuilder, RejectsUnknownWorkload)
 {
-    const Simulator simulator;
+    const Session session;
     auto builder =
-        simulator.request().workload("NoSuchLayer").engine(
-            "VEGETA-S-16-2");
+        session.job().workload("NoSuchLayer").engine("VEGETA-S-16-2");
     EXPECT_FALSE(builder.build().has_value());
-    EXPECT_NE(builder.error().find("unknown workload"),
-              std::string::npos);
+    EXPECT_EQ(builder.error(), "unknown workload: NoSuchLayer");
 }
 
-TEST(RequestBuilder, RejectsBadPattern)
+TEST(SimulationBuilder, RejectsBadPattern)
 {
-    const Simulator simulator;
-    auto builder = simulator.request()
+    const Session session;
+    auto builder = session.job()
                        .workload("BERT-L1")
                        .engine("VEGETA-S-16-2")
                        .pattern(3);
     EXPECT_FALSE(builder.build().has_value());
-    EXPECT_NE(builder.error().find("pattern"), std::string::npos);
+    EXPECT_EQ(builder.error(), "pattern must be 1, 2, or 4 (got 3)");
 }
 
-TEST(RequestBuilder, RejectsBadBlocking)
+TEST(SimulationBuilder, RejectsBadBlocking)
 {
-    const Simulator simulator;
-    auto builder = simulator.request()
+    const Session session;
+    auto builder = session.job()
                        .workload("BERT-L1")
                        .engine("VEGETA-S-16-2")
                        .cBlocking(7);
     EXPECT_FALSE(builder.build().has_value());
-    EXPECT_NE(builder.error().find("cBlocking"), std::string::npos);
+    EXPECT_EQ(builder.error(), "cBlocking must be 1..3 (got 7)");
 }
 
-TEST(RequestBuilder, RejectsEmptyRequest)
+TEST(SimulationBuilder, RejectsEmptyRequest)
 {
-    const Simulator simulator;
-    auto builder = simulator.request();
+    const Session session;
+    auto builder = session.job();
     EXPECT_FALSE(builder.build().has_value());
-    EXPECT_FALSE(builder.error().empty());
+    EXPECT_EQ(builder.error(), "no workload or GEMM dimensions given");
 }
 
-TEST(RequestBuilder, KeepsFirstError)
+TEST(SimulationBuilder, RejectsMissingEngine)
 {
-    const Simulator simulator;
-    auto builder = simulator.request()
+    const Session session;
+    auto builder = session.job().workload("BERT-L1");
+    EXPECT_FALSE(builder.build().has_value());
+    EXPECT_EQ(builder.error(), "no engine given");
+}
+
+TEST(SimulationBuilder, RejectsBadGemmSpec)
+{
+    const Session session;
+    auto builder = session.job().gemm("32x32").engine("VEGETA-S-2-2");
+    EXPECT_FALSE(builder.build().has_value());
+    EXPECT_EQ(builder.error(), "bad GEMM spec (expected MxNxK): 32x32");
+}
+
+TEST(SimulationBuilder, RejectsZeroGemmDims)
+{
+    const Session session;
+    auto builder = session.job()
+                       .gemm(kernels::GemmDims{0, 32, 64})
+                       .engine("VEGETA-S-2-2");
+    EXPECT_FALSE(builder.build().has_value());
+    EXPECT_EQ(builder.error(), "GEMM dimensions must be non-zero");
+}
+
+TEST(SimulationBuilder, RejectsBothWorkloadAndGemm)
+{
+    // One target per simulation job: a workload and explicit dims
+    // together are an error, not "the last one wins".
+    const Session session;
+    auto builder = session.job()
+                       .workload("BERT-L1")
+                       .gemm(kernels::GemmDims{32, 32, 64})
+                       .engine("VEGETA-S-2-2");
+    EXPECT_FALSE(builder.build().has_value());
+    EXPECT_EQ(builder.error(),
+              "give either a workload or GEMM dimensions, not both");
+}
+
+TEST(SimulationBuilder, KeepsFirstError)
+{
+    const Session session;
+    auto builder = session.job()
                        .workload("NoSuchLayer")
                        .engine("NOPE-9000")
                        .pattern(3);
     EXPECT_FALSE(builder.build().has_value());
-    EXPECT_NE(builder.error().find("unknown workload"),
-              std::string::npos);
+    EXPECT_EQ(builder.error(), "unknown workload: NoSuchLayer");
 }
 
 // --- Registries -------------------------------------------------------
@@ -192,22 +229,22 @@ TEST(WorkloadRegistry, AddAndGroup)
     EXPECT_TRUE(reg.group("tableIV").empty());
 }
 
-// --- Simulator facade -------------------------------------------------
+// --- Session runs ---------------------------------------------------
 
-TEST(Simulator, MatchesSimulateLayerPrimitive)
+TEST(SessionRun, MatchesSimulateLayerPrimitive)
 {
-    const Simulator simulator;
-    const auto request = simulator.request()
-                             .workload("quick-square")
-                             .engine("VEGETA-S-16-2")
-                             .pattern(2)
-                             .outputForwarding(true)
-                             .build();
-    ASSERT_TRUE(request.has_value());
-    const auto result = simulator.run(*request);
+    const Session session;
+    const SimulationRequest request = session.job()
+                                          .workload("quick-square")
+                                          .engine("VEGETA-S-16-2")
+                                          .pattern(2)
+                                          .outputForwarding(true)
+                                          .build()
+                                          .value()
+                                          .simulation;
+    const auto result = session.run(request);
 
-    kernels::Workload w =
-        *simulator.workloads().find("quick-square");
+    kernels::Workload w = *session.workloads().find("quick-square");
     const auto reference = kernels::simulateLayer(
         w, 2, engine::vegetaS162(), /*output_forwarding=*/true);
     EXPECT_EQ(result.coreCycles, reference.coreCycles);
@@ -218,32 +255,34 @@ TEST(Simulator, MatchesSimulateLayerPrimitive)
                      reference.macUtilization);
 }
 
-TEST(Simulator, ReplayMatchesGeneratedRun)
+TEST(SessionRun, ReplayMatchesGeneratedRun)
 {
-    const Simulator simulator;
-    const auto request = simulator.request()
-                             .gemm(kernels::GemmDims{64, 64, 256})
-                             .engine("VEGETA-S-2-2")
-                             .pattern(2)
-                             .build();
-    ASSERT_TRUE(request.has_value());
+    const Session session;
+    const SimulationRequest request =
+        session.job()
+            .gemm(kernels::GemmDims{64, 64, 256})
+            .engine("VEGETA-S-2-2")
+            .pattern(2)
+            .build()
+            .value()
+            .simulation;
 
     kernels::KernelOptions opts;
     opts.traceOnly = true;
-    const auto engine = simulator.engines().find("VEGETA-S-2-2");
+    const auto engine = session.engines().find("VEGETA-S-2-2");
     const auto run = kernels::runSpmmKernel(
-        request->gemm, engine->effectiveN(2), opts);
+        request.gemm, engine->effectiveN(2), opts);
 
-    const auto direct = simulator.run(*request);
-    const auto replayed = simulator.replay(run.trace, *request);
+    const auto direct = session.run(request);
+    const auto replayed = session.replay(run.trace, request);
     EXPECT_EQ(replayed.coreCycles, direct.coreCycles);
     EXPECT_EQ(replayed.instructions, direct.instructions);
     EXPECT_EQ(replayed.kernel, "replay");
 }
 
-TEST(Simulator, ReplayErrorOnIncompatibleEngine)
+TEST(SessionRun, ReplayErrorOnIncompatibleEngine)
 {
-    const Simulator simulator;
+    const Session session;
     // A 2:4 trace contains TILE_SPMM_U ops; the dense RASA-DM engine
     // has no datapath for them.
     kernels::KernelOptions opts;
@@ -251,54 +290,61 @@ TEST(Simulator, ReplayErrorOnIncompatibleEngine)
     const auto run =
         kernels::runSpmmKernel({64, 64, 256}, /*executed_n=*/2, opts);
 
-    const auto sparse_req = simulator.request()
-                                .gemm(kernels::GemmDims{64, 64, 256})
-                                .engine("VEGETA-S-2-2")
-                                .build();
-    const auto dense_req = simulator.request()
-                               .gemm(kernels::GemmDims{64, 64, 256})
-                               .engine("VEGETA-D-1-2")
-                               .build();
+    const SimulationRequest sparse_req =
+        session.job()
+            .gemm(kernels::GemmDims{64, 64, 256})
+            .engine("VEGETA-S-2-2")
+            .build()
+            .value()
+            .simulation;
+    const SimulationRequest dense_req =
+        session.job()
+            .gemm(kernels::GemmDims{64, 64, 256})
+            .engine("VEGETA-D-1-2")
+            .build()
+            .value()
+            .simulation;
     EXPECT_FALSE(
-        simulator.replayError(run.trace, *sparse_req).has_value());
-    const auto error = simulator.replayError(run.trace, *dense_req);
+        session.replayError(run.trace, sparse_req).has_value());
+    const auto error = session.replayError(run.trace, dense_req);
     ASSERT_TRUE(error.has_value());
     EXPECT_NE(error->find("VEGETA-D-1-2"), std::string::npos);
 }
 
-TEST(Simulator, DenseEngineIgnoresOutputForwardingRequest)
+TEST(SessionRun, DenseEngineIgnoresOutputForwardingRequest)
 {
-    const Simulator simulator;
-    const auto request = simulator.request()
-                             .workload("quick-small")
-                             .engine("VEGETA-D-1-2")
-                             .pattern(2)
-                             .outputForwarding(true)
-                             .build();
-    ASSERT_TRUE(request.has_value());
-    EXPECT_FALSE(simulator.run(*request).outputForwarding);
+    const Session session;
+    const SimulationRequest request = session.job()
+                                          .workload("quick-small")
+                                          .engine("VEGETA-D-1-2")
+                                          .pattern(2)
+                                          .outputForwarding(true)
+                                          .build()
+                                          .value()
+                                          .simulation;
+    EXPECT_FALSE(session.run(request).outputForwarding);
 }
 
-// --- SweepRunner ------------------------------------------------------
+// --- Session batches -------------------------------------------------
 
 std::vector<SimulationRequest>
-fullQuickGrid(const Simulator &simulator)
+fullQuickGrid(const Session &session)
 {
     std::vector<std::string> workload_names;
-    for (const auto &w : simulator.workloads().group("quick"))
+    for (const auto &w : session.workloads().group("quick"))
         workload_names.push_back(w.name);
-    return figure13Grid(simulator, workload_names,
-                        simulator.engines().names(), {4, 2, 1});
+    return figure13Grid(session, workload_names,
+                        session.engines().names(), {4, 2, 1});
 }
 
-TEST(SweepRunner, ParallelMatchesSingleThreadBitForBit)
+TEST(SessionBatch, ParallelMatchesSingleThreadBitForBit)
 {
-    const Simulator simulator;
-    const auto grid = fullQuickGrid(simulator);
+    const Session session;
+    const auto grid = fullQuickGrid(session);
     ASSERT_FALSE(grid.empty());
 
-    const auto serial = SweepRunner(simulator, 1).run(grid);
-    const auto parallel = SweepRunner(simulator, 4).run(grid);
+    const auto serial = session.runBatch(grid, 1);
+    const auto parallel = session.runBatch(grid, 4);
 
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -321,15 +367,14 @@ TEST(SweepRunner, ParallelMatchesSingleThreadBitForBit)
     }
 }
 
-TEST(SweepRunner, MatchesLegacyFigure13Sweep)
+TEST(SessionBatch, MatchesLegacyFigure13Sweep)
 {
-    const Simulator simulator;
-    const auto workloads = simulator.workloads().group("quick");
-    const auto engines = simulator.engines().configs();
+    const Session session;
+    const auto workloads = session.workloads().group("quick");
+    const auto engines = session.engines().configs();
     const auto legacy = kernels::figure13Sweep(workloads, engines);
 
-    const auto results =
-        SweepRunner(simulator, 2).run(fullQuickGrid(simulator));
+    const auto results = session.runBatch(fullQuickGrid(session), 2);
     ASSERT_EQ(results.size(), legacy.size());
     for (std::size_t i = 0; i < results.size(); ++i) {
         EXPECT_EQ(results[i].workload, legacy[i].workload);
@@ -339,10 +384,10 @@ TEST(SweepRunner, MatchesLegacyFigure13Sweep)
     }
 }
 
-TEST(SweepRunner, GeomeanSpeedupMatchesLegacy)
+TEST(SessionBatch, GeomeanSpeedupMatchesLegacy)
 {
-    const Simulator simulator;
-    const auto workloads = simulator.workloads().group("quick");
+    const Session session;
+    const auto workloads = session.workloads().group("quick");
     std::vector<std::string> names;
     for (const auto &w : workloads)
         names.push_back(w.name);
@@ -351,36 +396,39 @@ TEST(SweepRunner, GeomeanSpeedupMatchesLegacy)
         const double legacy = kernels::geomeanSpeedupVsDenseBaseline(
             workloads, layer_n, engine::vegetaS162(), true);
         const double sweep = geomeanSpeedup(
-            simulator, names, layer_n, "VEGETA-S-16-2", true,
+            session, names, layer_n, "VEGETA-S-16-2", true,
             "VEGETA-D-1-2", /*threads=*/3);
         EXPECT_DOUBLE_EQ(sweep, legacy) << layer_n;
     }
 }
 
-TEST(SweepRunner, EmptyBatch)
+TEST(SessionBatch, EmptyBatch)
 {
-    const Simulator simulator;
-    EXPECT_TRUE(SweepRunner(simulator, 4).run({}).empty());
+    const Session session;
+    EXPECT_TRUE(
+        session.runBatch(std::vector<SimulationRequest>{}, 4).empty());
 }
 
 // --- Result serialization --------------------------------------------
 
 std::vector<SimulationResult>
-sampleResults(const Simulator &simulator)
+sampleResults(const Session &session)
 {
-    const auto request = simulator.request()
-                             .workload("quick-small")
-                             .engine("VEGETA-S-2-2")
-                             .pattern(2)
-                             .build();
-    return {simulator.run(*request)};
+    const SimulationRequest request = session.job()
+                                          .workload("quick-small")
+                                          .engine("VEGETA-S-2-2")
+                                          .pattern(2)
+                                          .build()
+                                          .value()
+                                          .simulation;
+    return {session.run(request)};
 }
 
 TEST(Results, CsvHasHeaderAndRow)
 {
-    const Simulator simulator;
+    const Session session;
     std::ostringstream os;
-    writeCsv(os, sampleResults(simulator));
+    writeCsv(os, sampleResults(session));
     const std::string text = os.str();
     EXPECT_NE(text.find("workload,engine,pattern"), std::string::npos);
     EXPECT_NE(text.find("quick-small,VEGETA-S-2-2,2:4"),
@@ -389,9 +437,9 @@ TEST(Results, CsvHasHeaderAndRow)
 
 TEST(Results, JsonIsWellFormedEnough)
 {
-    const Simulator simulator;
+    const Session session;
     std::ostringstream os;
-    writeJson(os, sampleResults(simulator));
+    writeJson(os, sampleResults(session));
     const std::string text = os.str();
     EXPECT_EQ(text.front(), '[');
     EXPECT_NE(text.find("\"workload\": \"quick-small\""),
@@ -402,8 +450,8 @@ TEST(Results, JsonIsWellFormedEnough)
 
 TEST(Results, TableHasOneRowPerResult)
 {
-    const Simulator simulator;
-    const auto results = sampleResults(simulator);
+    const Session session;
+    const auto results = sampleResults(session);
     EXPECT_EQ(resultsTable(results).numRows(), results.size());
 }
 

@@ -16,7 +16,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "sim/cache.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/session.hpp"
 #include "sim/tune.hpp"
@@ -279,17 +278,17 @@ TEST(CostModel, FitRejectsDegenerateInputs)
 TEST(CostModel, CacheEntryRoundTripsThroughKey)
 {
     Session session;
-    auto request = session.request()
-                       .workload("quick-small")
-                       .engine("VEGETA-S-16-2")
-                       .pattern(2)
-                       .outputForwarding(true)
-                       .cBlocking(2)
-                       .build();
-    ASSERT_TRUE(request);
-    const auto result = session.run(*request);
+    auto job = session.job()
+                   .workload("quick-small")
+                   .engine("VEGETA-S-16-2")
+                   .pattern(2)
+                   .outputForwarding(true)
+                   .cBlocking(2)
+                   .build();
+    ASSERT_TRUE(job);
+    const auto result = session.run(job->simulation);
     const auto sample = costSampleFromCacheEntry(
-        session, cacheKey(*request), result);
+        session, cacheKey(job->simulation), result);
     ASSERT_TRUE(sample);
     EXPECT_EQ(sample->features[0], 1.0); // bias term
     EXPECT_NEAR(sample->log2Cycles,
