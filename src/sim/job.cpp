@@ -77,7 +77,8 @@ std::string
 jobKey(const Job &job)
 {
     if (job.kind == JobKind::Analysis)
-        return "ana|" + analyticalKey(job.analysis);
+        return std::string(kAnalysisKeyPrefix) +
+               analyticalKey(job.analysis);
     return std::string(kSimulationKeyPrefix) +
            cacheKey(job.simulation);
 }

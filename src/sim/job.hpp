@@ -76,12 +76,17 @@ std::string analyticalKey(const AnalyticalRequest &request);
 /** jobKey's prefix of a simulation job, followed by its cacheKey. */
 inline constexpr std::string_view kSimulationKeyPrefix = "sim|";
 
+/** jobKey's prefix of an analysis job, followed by its
+ *  analyticalKey. */
+inline constexpr std::string_view kAnalysisKeyPrefix = "ana|";
+
 /**
  * Canonical key of a job, kind-prefixed so a simulation and an
  * analysis can never collide.  A simulation job's key is
- * kSimulationKeyPrefix + cacheKey, so a Job keyed for batch dedupe
- * and a request keyed for the result store agree about what "the
- * same work" means.
+ * kSimulationKeyPrefix + cacheKey and an analysis job's
+ * kAnalysisKeyPrefix + analyticalKey, so a Job keyed for batch
+ * dedupe and a request keyed for the result store agree about what
+ * "the same work" means.
  */
 std::string jobKey(const Job &job);
 

@@ -1,15 +1,17 @@
 #include "sim/pool.hpp"
 
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
 #include <spawn.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdint>
 #include <cstring>
 #include <iostream>
-#include <map>
 #include <thread>
 
 #include "sim/job_io.hpp"
@@ -27,6 +29,21 @@ closeFd(int &fd)
         ::close(fd);
         fd = -1;
     }
+}
+
+/**
+ * runBatch threads per worker: @p threads, or by default the machine
+ * divided over the workers instead of every worker claiming all of
+ * it (N workers x hardware threads would oversubscribe the CPU
+ * N-fold).
+ */
+u32
+threadsPerWorker(u32 workers, u32 threads)
+{
+    if (threads != 0)
+        return threads;
+    const unsigned hw = std::thread::hardware_concurrency();
+    return std::max(1u, static_cast<u32>(hw) / workers);
 }
 
 } // namespace
@@ -47,43 +64,22 @@ u32
 defaultPoolCrossoverJobs()
 {
     // Re-read off the committed BENCH_replay trajectory: the
-    // pool_crossover_measured_jobs row has been 0 in every entry
-    // that records it, meaning the bench's probe over 2..16 unique
-    // jobs never found a batch size where the process pool beat the
-    // in-process fallback (worker spawn, session start-up and frame
-    // round trips dominate every probed size), and the
-    // pool_crossover_unique_jobs row records 128 as the default in
-    // effect.  With no measured win below the probe ceiling, the
-    // crossover stays at 128 -- the low-hundreds scale where
-    // per-worker setup provably amortizes -- and is conservative on
-    // purpose: the in-process fallback is never slower on batches
-    // this size, and both paths are bit-identical.
+    // pool_crossover_measured_jobs row is 0 in every entry that
+    // records it, the stream-affine-deal entry included -- the
+    // bench's probe over 2..16 unique jobs never found a batch size
+    // where the process pool beat the in-process fallback (pooled
+    // ~2 ms of spawn, session start-up and frame round trips against
+    // well under 1 ms in-process).  Those probe batches are the
+    // front of one layer's grid, a single stream group, so since the
+    // pool deals whole groups one worker runs them all: the probe
+    // cannot show a win below 16 jobs.  (The same entry's pool_sweep
+    // row puts 2 and 4 workers ahead of 1, but its 45-job grid runs
+    // in ~5 ms, mostly spawn.)  With no measured win below the probe
+    // ceiling, the crossover stays at 128 -- the low-hundreds scale
+    // where per-worker setup provably amortizes -- and is
+    // conservative on purpose: the in-process fallback is never
+    // slower on batches this size, and both paths are bit-identical.
     return 128;
-}
-
-KeyedBatch
-keyBatch(const std::vector<Job> &jobs)
-{
-    KeyedBatch keyed;
-    std::vector<std::string> keys;
-    keys.reserve(jobs.size());
-    // key -> its first job, then (below) -> its position in keys
-    std::map<std::string, std::size_t> unique;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        keys.push_back(jobKey(jobs[i]));
-        unique.emplace(keys.back(), i);
-    }
-    keyed.keys.reserve(unique.size());
-    keyed.first.reserve(unique.size());
-    for (auto &[key, index] : unique) {
-        keyed.first.push_back(index);
-        index = keyed.keys.size();
-        keyed.keys.push_back(key);
-    }
-    keyed.slot.reserve(jobs.size());
-    for (const auto &key : keys)
-        keyed.slot.push_back(unique.find(key)->second);
-    return keyed;
 }
 
 // --- WorkerSet -------------------------------------------------------
@@ -106,13 +102,7 @@ WorkerSet::spawn(u32 workers, const std::string &cache_dir,
             return fail("cannot resolve own executable for workers");
         command = {self, "worker"};
     }
-    // The default divides the machine instead of letting every
-    // worker claim all of it (N workers x hardware threads would
-    // oversubscribe the CPU N-fold).
-    if (threads == 0) {
-        const unsigned hw = std::thread::hardware_concurrency();
-        threads = std::max(1u, static_cast<u32>(hw) / workers);
-    }
+    threads = threadsPerWorker(workers, threads);
     command.insert(command.end(),
                    {"--threads", std::to_string(threads)});
     if (!cache_dir.empty())
@@ -129,6 +119,7 @@ WorkerSet::spawn(u32 workers, const std::string &cache_dir,
 
     telemetry::Span spawn_span("pool.spawn", workers);
     std::unique_ptr<WorkerSet> set(new WorkerSet());
+    set->threads_ = threads;
     for (u32 w = 0; w < workers; ++w) {
         // Every pipe end is close-on-exec; the dup2s below clear it
         // on the worker's own two ends only, so no worker inherits a
@@ -182,85 +173,163 @@ WorkerSet::~WorkerSet()
 }
 
 WorkerBatch
-WorkerSet::run(const std::vector<Job> &jobs, const KeyedBatch &keyed)
+WorkerSet::run(const std::vector<Job> &jobs, const BatchPlan &plan)
 {
-    WorkerBatch out;
-    const std::size_t unique = keyed.keys.size();
-    const u32 used = static_cast<u32>(
-        std::min<std::size_t>(workers_.size(), unique));
-
-    // Deal the sorted keys round-robin: unique job u goes to worker
-    // u % used, at position u / used of its slice.
-    std::vector<std::vector<Job>> slices(used);
-    for (std::size_t u = 0; u < unique; ++u)
-        slices[u % used].push_back(jobs[keyed.first[u]]);
     static const telemetry::MetricId slices_id =
         telemetry::counterId("pool.slices");
-    telemetry::add(slices_id, used);
+    WorkerBatch out;
+    const std::vector<PlanUnit> &units = plan.units;
+    const u32 count = size();
+    std::hash<std::string> hash;
+    // A unit's home: the worker that answered its first job in an
+    // earlier run of this set, whose store already holds it (count:
+    // none yet).  Only that worker is dealt it; any worker may take
+    // a unit without a home.
+    std::vector<u32> home(units.size(), count);
+    for (std::size_t u = 0; u < units.size(); ++u) {
+        const auto it =
+            home_.find(hash(plan.keys[units[u].classes[0][0]]));
+        if (it != home_.end())
+            home[u] = it->second;
+    }
+    std::vector<bool> dealt(units.size(), false);
+    std::size_t left = units.size(); // units not dealt yet
+    u32 outstanding = 0; // frames sent and not yet answered
+    // inflight[w]: the jobs of worker w's unanswered frame, in frame
+    // order (empty: w is idle); reply_of[w]: its entry in
+    // out.replies (SIZE_MAX: none yet).
+    std::vector<std::vector<std::size_t>> inflight(count);
+    std::vector<std::size_t> reply_of(count, SIZE_MAX);
+    std::string io_error;
+    out.results.resize(jobs.size());
 
     auto fail = [&](u32 w, const std::string &reason) {
         if (out.error.empty())
             out.error = "worker " + std::to_string(w) + reason;
     };
 
-    // Stop sending at the first unreachable worker, but read back an
-    // answer from EVERY worker that was sent a frame: an unread
-    // answer would sit in its pipe and misalign the next batch.
-    u32 sent = 0;
-    std::string io_error;
-    {
-        telemetry::Span send_span("pool.send", used);
-        for (; sent < used; ++sent) {
-            if (!wire::writeFrame(workers_[sent].feedFd,
-                                  wire::FrameType::Batch,
-                                  encodeJobBatch(slices[sent]),
-                                  &io_error)) {
-                fail(sent, " unreachable: " + io_error);
-                break;
-            }
+    // Send idle worker w its next frame: the first units in plan
+    // order it may take, up to threads_ of them but no more than an
+    // even share of what is left, so a small batch still spreads
+    // over every worker.  Sends nothing when no unit is w's to take.
+    auto deal = [&](u32 w) {
+        const std::size_t take = std::clamp<std::size_t>(
+            (left + count - 1) / count, 1, threads_);
+        std::vector<Job> frame;
+        std::vector<std::size_t> &members = inflight[w];
+        std::size_t taken = 0;
+        for (std::size_t u = 0; u < units.size() && taken < take;
+             ++u) {
+            if (dealt[u] || (home[u] != count && home[u] != w))
+                continue;
+            dealt[u] = true;
+            ++taken;
+            for (const auto &timing_class : units[u].classes)
+                for (const std::size_t i : timing_class) {
+                    members.push_back(i);
+                    frame.push_back(jobs[i]);
+                }
         }
-    }
+        if (taken == 0)
+            return;
+        left -= taken;
+        telemetry::Span send_span("pool.send", taken);
+        telemetry::add(slices_id, 1);
+        if (!wire::writeFrame(workers_[w].feedFd,
+                              wire::FrameType::Batch,
+                              encodeJobBatch(frame), &io_error)) {
+            fail(w, " unreachable: " + io_error);
+            members.clear();
+            return;
+        }
+        ++outstanding;
+    };
 
-    telemetry::Span collect_span("pool.collect", sent);
-    out.results.resize(unique);
-    for (u32 w = 0; w < sent; ++w) {
+    // Until the plan runs out (or a failure stops it), offer every
+    // idle worker its next frame.
+    auto dealIdle = [&]() {
+        for (u32 w = 0; w < count; ++w)
+            if (out.error.empty() && left > 0 && inflight[w].empty())
+                deal(w);
+    };
+
+    // Read worker w's answer and merge it by job index.
+    auto collect = [&](u32 w) {
+        telemetry::Span collect_span("pool.collect");
+        const std::vector<std::size_t> members = std::move(inflight[w]);
+        inflight[w].clear();
+        --outstanding;
         wire::Frame frame;
         if (!wire::readFrame(workers_[w].replyFd, &frame, -1,
                              &io_error)) {
             fail(w, " died: " + io_error);
-            continue;
+            return;
         }
         if (frame.type == wire::FrameType::Error) {
             fail(w, ": " + frame.payload);
-            continue;
+            return;
         }
         if (frame.type != wire::FrameType::Results) {
             fail(w, ": unexpected frame");
-            continue;
+            return;
         }
         auto output = decodeWorkerOutput(frame.payload, &io_error);
         if (!output) {
             fail(w, ": " + io_error);
-            continue;
+            return;
         }
-        // A worker answers its slice in order, one record per job;
+        // A worker answers its frame in order, one record per job;
         // anything else is a missing or foreign result.
-        bool answered = output->results.size() == slices[w].size();
-        for (std::size_t j = 0; answered && j < slices[w].size();
-             ++j) {
-            const std::size_t u = j * used + w;
-            answered = output->results[j].first == keyed.keys[u];
-            if (answered)
-                out.results[u] = std::move(output->results[j].second);
-        }
+        bool answered = output->results.size() == members.size();
+        for (std::size_t j = 0; answered && j < members.size(); ++j)
+            answered =
+                output->results[j].first == plan.keys[members[j]];
         if (!answered) {
             fail(w, ": missing result");
-            continue;
+            return;
         }
+        for (std::size_t j = 0; j < members.size(); ++j)
+            out.results[members[j]] =
+                std::move(output->results[j].second);
         out.simulationsPerformed += output->simulationsPerformed;
         out.analysesPerformed += output->analysesPerformed;
-        out.replies.push_back(
-            {w, slices[w].size(), std::move(output->metrics)});
+        if (reply_of[w] == SIZE_MAX) {
+            reply_of[w] = out.replies.size();
+            out.replies.push_back({w, 0, {}});
+        }
+        WorkerReply &reply = out.replies[reply_of[w]];
+        reply.jobs += members.size();
+        reply.metrics = std::move(output->metrics);
+        for (const std::size_t i : members)
+            home_[hash(plan.keys[i])] = w;
+    };
+
+    // One frame per worker to start, then pull: whichever worker
+    // answers first is dealt the next frame.  After a failure no
+    // frame is sent, but every answer owed is still read back.
+    dealIdle();
+    std::vector<pollfd> ready;
+    std::vector<u32> polled;
+    while (outstanding > 0) {
+        ready.clear();
+        polled.clear();
+        for (u32 w = 0; w < count; ++w) {
+            if (inflight[w].empty())
+                continue;
+            ready.push_back({workers_[w].replyFd, POLLIN, 0});
+            polled.push_back(w);
+        }
+        if (::poll(ready.data(), ready.size(), -1) < 0) {
+            if (errno == EINTR)
+                continue;
+            // Cannot wait on them together: read them in turn.
+            for (auto &entry : ready)
+                entry.revents = POLLIN;
+        }
+        for (std::size_t r = 0; r < ready.size(); ++r)
+            if (ready[r].revents != 0)
+                collect(polled[r]);
+        dealIdle();
     }
     if (!out.error.empty()) {
         out.results.clear();
@@ -305,8 +374,14 @@ ProcessPool::run(const Session &session,
             return fail("job " + std::to_string(i) + ": " + *error);
     }
 
-    const KeyedBatch keyed = keyBatch(jobs);
-    out.stats.uniqueJobs = keyed.keys.size();
+    // The parent plans with its own registries and no store probe
+    // (the workers own the store), for every executor the pool will
+    // run: workers x threads each.
+    const BatchPlan plan = session.planBatch(
+        jobs, options_.workers * threadsPerWorker(
+                                     options_.workers,
+                                     options_.threadsPerWorker));
+    out.stats.uniqueJobs = plan.unique.size();
 
     // Batch-size planner: small batches skip the process pool
     // entirely.  A fresh builtin Session with the same store the
@@ -315,7 +390,7 @@ ProcessPool::run(const Session &session,
     const u32 min_pooled = options_.minPooledJobs == 0
                                ? defaultPoolCrossoverJobs()
                                : options_.minPooledJobs;
-    if (keyed.keys.size() < min_pooled) {
+    if (plan.unique.size() < min_pooled) {
         static const telemetry::MetricId fallback_id =
             telemetry::counterId("pool.fallback");
         telemetry::add(fallback_id, 1);
@@ -332,21 +407,24 @@ ProcessPool::run(const Session &session,
         return out;
     }
 
+    // A worker with no unit to run would only idle: spawn at most one
+    // per unit.
     std::string error;
     const auto workers = WorkerSet::spawn(
         std::min<u32>(options_.workers,
-                      static_cast<u32>(keyed.keys.size())),
+                      static_cast<u32>(plan.units.size())),
         options_.cacheDir, options_.threadsPerWorker,
         options_.workerCommand, &error);
     if (!workers)
         return fail(error);
     out.stats.workersSpawned = workers->size();
 
-    WorkerBatch batch = workers->run(jobs, keyed);
-    // Fold each worker's snapshot into this process so a post-run
-    // metrics report covers the whole pool.  These workers are fresh
-    // processes serving one batch, so one absorb each never double
-    // counts.
+    WorkerBatch batch = workers->run(jobs, plan);
+    // Fold each worker's latest snapshot into this process so a
+    // post-run metrics report covers the whole pool.  Every frame
+    // carries the worker's cumulative totals and these workers are
+    // fresh processes serving one batch, so one absorb per worker
+    // counts each of them exactly once.
     for (const auto &reply : batch.replies)
         telemetry::absorb(reply.metrics);
     if (!batch.ok)
@@ -354,8 +432,8 @@ ProcessPool::run(const Session &session,
     out.stats.simulationsPerformed = batch.simulationsPerformed;
     out.stats.analysesPerformed = batch.analysesPerformed;
     out.results.reserve(jobs.size());
-    for (const std::size_t u : keyed.slot)
-        out.results.push_back(batch.results[u]);
+    for (const std::size_t source : plan.source)
+        out.results.push_back(batch.results[source]);
     out.ok = true;
     return out;
 }

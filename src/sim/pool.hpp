@@ -16,15 +16,23 @@
  *     its lifetime and feeds it every dispatched batch.
  *
  * The contract mirrors runBatch exactly: merged results are
- * bit-for-bit identical to a single-process run for ANY worker count.
- * That falls out of the design:
+ * bit-for-bit identical to a single-process run for ANY worker count
+ * and any completion order.  That falls out of the design:
  *
- *   - jobs are deduped by canonical jobKey, the unique key set is
- *     sorted, and keys are dealt round-robin to workers -- each
- *     worker's slice is a pure function of the batch, never of timing;
- *   - each slice ships as one sim/wire `batch` frame (sim/job_io
- *     records) and comes back as one `results` frame keyed by jobKey,
- *     with doubles as raw bit patterns;
+ *   - the batch is planned by Session::planBatch -- runBatch's own
+ *     plan phase, with no store probe -- so the pool deals exactly
+ *     the units runBatch would run: whole stream groups (split at
+ *     timing-class boundaries only above an executor's fair share of
+ *     workers x threads), largest first;
+ *   - the deal is pull-based: each worker is sent one `batch` frame
+ *     of up to `threads` units (sim/job_io records), and whichever
+ *     worker answers first is sent the next frame, so no stream is
+ *     emitted twice and no timing class is replayed twice however
+ *     the units land; a unit a worker of the set already answered
+ *     is dealt back to that worker, whose store holds it;
+ *   - every `results` frame comes back keyed by jobKey, with doubles
+ *     as raw bit patterns, and is merged by job index -- the bytes
+ *     are a pure function of the batch, never of timing;
  *   - workers attach the shared --cache-dir, so a warm pool performs
  *     zero replays and a cold pool populates the cache once across
  *     all workers (the disk cache's locked first-insert-wins append
@@ -51,40 +59,25 @@
 
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/job.hpp"
+#include "sim/session.hpp"
 #include "sim/telemetry.hpp"
 
 namespace vegeta::sim {
 
-class Session;
-
-/** A job batch deduplicated by canonical jobKey. */
-struct KeyedBatch
-{
-    /** The unique job keys, sorted. */
-    std::vector<std::string> keys;
-
-    /** first[u]: index of the first job whose key is keys[u]. */
-    std::vector<std::size_t> first;
-
-    /** slot[i]: position of jobs[i]'s key in keys. */
-    std::vector<std::size_t> slot;
-};
-
-/** Key and dedupe @p jobs: the one dedupe the executor deals from. */
-KeyedBatch keyBatch(const std::vector<Job> &jobs);
-
-/** One worker's answer to its slice of a batch. */
+/** What one worker answered over a batch's frames. */
 struct WorkerReply
 {
     u32 worker = 0;
 
-    /** Unique jobs in the slice. */
+    /** Unique jobs it answered, summed over its frames. */
     u64 jobs = 0;
 
-    /** The worker's cumulative telemetry snapshot. */
+    /** Its latest cumulative telemetry snapshot (every frame carries
+     *  the whole process's totals, so only the last one counts). */
     std::vector<telemetry::MetricRecord> metrics;
 };
 
@@ -96,14 +89,16 @@ struct WorkerBatch
     /** One-line reason when !ok ("" otherwise). */
     std::string error;
 
-    /** results[u] answers KeyedBatch::keys[u]; empty when !ok. */
+    /** results[i] answers jobs[i] for every i in BatchPlan::unique
+     *  (other slots are left empty); empty when !ok. */
     std::vector<JobResult> results;
 
     /** Work the workers actually performed (summed). */
     u64 simulationsPerformed = 0;
     u64 analysesPerformed = 0;
 
-    /** Every worker that answered, in worker order. */
+    /** One entry per worker that answered, in order of its first
+     *  answer. */
     std::vector<WorkerReply> replies;
 };
 
@@ -131,16 +126,25 @@ class WorkerSet
 
     u32 size() const { return static_cast<u32>(workers_.size()); }
 
+    /** runBatch threads inside each worker (resolved at spawn). */
+    u32 threads() const { return threads_; }
+
     /**
-     * Deal @p keyed's unique jobs round-robin over the workers, send
-     * each its slice as one `batch` frame, and merge the `results`
-     * frames by key.  Even when the batch fails, every worker that
-     * was sent a frame has its answer read back, so each pipe stays
-     * one frame in, one frame out.  Not thread-safe: one run at a
-     * time.
+     * Deal @p plan's units -- Session::planBatch(jobs, size() *
+     * threads()) with no probe -- over the workers and merge the
+     * `results` frames by job index.  Pull-based: each worker is
+     * sent a frame of up to threads() units (never more than an even
+     * share of what is left), and each answer read is followed by
+     * the worker's next frame until the plan runs out.  A unit whose
+     * first job a worker of this set already answered goes back to
+     * that worker only, so a long-lived set (the service) serves a
+     * repeated batch from its workers' warm stores.  At the first
+     * failure no further frame is sent, but every worker that was
+     * sent a frame has its answer read back, so each pipe stays one
+     * frame in, one frame out.  Not thread-safe: one run at a time.
      */
     WorkerBatch run(const std::vector<Job> &jobs,
-                    const KeyedBatch &keyed);
+                    const BatchPlan &plan);
 
   private:
     struct Worker
@@ -153,12 +157,19 @@ class WorkerSet
     WorkerSet() = default;
 
     std::vector<Worker> workers_;
+    u32 threads_ = 1;
+
+    /** The worker that answered each job (by jobKey hash) in an
+     *  earlier run: its store holds the result, so a repeated unit
+     *  is dealt back to it.  Grows with the set's unique jobs. */
+    std::unordered_map<std::size_t, u32> home_;
 };
 
 /** How a ProcessPool runs one batch. */
 struct PoolOptions
 {
-    /** Worker processes to spawn (capped at the unique-job count). */
+    /** Worker processes to spawn (capped at the plan's unit
+     *  count). */
     u32 workers = 2;
 
     /** Shared persistent result-cache directory ("" = each worker
@@ -241,10 +252,11 @@ class ProcessPool
     explicit ProcessPool(PoolOptions options);
 
     /**
-     * Run @p jobs to completion across the pool.  @p session is used
-     * only to validate the batch up front (workers build their own
-     * Session over the builtin registries, so jobs must not depend on
-     * names registered only in a custom parent session).
+     * Run @p jobs to completion across the pool.  @p session only
+     * validates and plans the batch up front; it runs nothing
+     * (workers build their own Session over the builtin registries,
+     * so jobs must not depend on names registered only in a custom
+     * parent session).
      */
     PoolRun run(const Session &session,
                 const std::vector<Job> &jobs) const;

@@ -707,22 +707,22 @@ SimServer::Impl::executeBatch(const std::vector<Job> &jobs)
     ExecOutcome outcome;
 
     // The response carries one record per unique key, in key order,
-    // and the client fans results back out to its own job order.
-    const KeyedBatch keyed = keyBatch(jobs);
+    // and the client fans results back out to its own job order.  A
+    // worker set deals this plan; the in-process session makes its
+    // own for options.threads.
+    const BatchPlan plan = session.planBatch(
+        jobs, workers ? workers->size() * workers->threads() : 1);
     std::vector<JobResult> results;
     if (!workers) {
         const u64 sims0 = session.simulationsPerformed();
         const u64 anas0 = session.analysesPerformed();
-        const auto batch = session.runBatch(jobs, options.threads);
+        results = session.runBatch(jobs, options.threads);
         outcome.output.simulationsPerformed =
             session.simulationsPerformed() - sims0;
         outcome.output.analysesPerformed =
             session.analysesPerformed() - anas0;
-        results.reserve(keyed.keys.size());
-        for (const std::size_t index : keyed.first)
-            results.push_back(batch[index]);
     } else {
-        WorkerBatch batch = workers->run(jobs, keyed);
+        WorkerBatch batch = workers->run(jobs, plan);
         {
             // Each answer carries the worker's whole-process
             // cumulative snapshot: REPLACE the latest copy (an
@@ -742,10 +742,15 @@ SimServer::Impl::executeBatch(const std::vector<Job> &jobs)
         outcome.output.analysesPerformed = batch.analysesPerformed;
         results = std::move(batch.results);
     }
-    outcome.output.results.reserve(results.size());
-    for (std::size_t u = 0; u < results.size(); ++u)
-        outcome.output.results.emplace_back(keyed.keys[u],
-                                            std::move(results[u]));
+    std::vector<std::size_t> order = plan.unique;
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t a, std::size_t b) {
+                  return plan.keys[a] < plan.keys[b];
+              });
+    outcome.output.results.reserve(order.size());
+    for (const std::size_t i : order)
+        outcome.output.results.emplace_back(plan.keys[i],
+                                            std::move(results[i]));
     outcome.ok = true;
     return outcome;
 }

@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <map>
+#include <optional>
 #include <string_view>
 #include <thread>
 #include <unordered_map>
@@ -64,18 +65,6 @@ streamTiles(const StreamKey &key)
     return (key[0] / 16) * (key[1] / 16) * (key[2] / tk);
 }
 
-/**
- * One runBatch work unit: an analysis job, or a chunk of a stream
- * group's timing classes (each class the jobs one lane serves, in
- * batch order).
- */
-struct Task
-{
-    std::vector<std::vector<std::size_t>> classes;
-    u64 cost = 0;
-    bool analysis = false;
-};
-
 /** The cache misses of one stream, partitioned by lane timing. */
 struct StreamGroup
 {
@@ -84,6 +73,16 @@ struct StreamGroup
     std::vector<cpu::LaneReplayer::LaneSpec> leads;
     std::vector<std::vector<std::size_t>> classes;
 };
+
+/** @p threads, or the hardware concurrency when it is 0. */
+u32
+resolveThreads(u32 threads)
+{
+    if (threads != 0)
+        return threads;
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 1 : static_cast<u32>(hw);
+}
 
 // Store-probe outcome counters, shared by every probe site.
 void
@@ -264,6 +263,14 @@ Session::analyzeError(const AnalyticalRequest &request) const
 AnalyticalResult
 Session::analyze(const AnalyticalRequest &request) const
 {
+    return analyze(request,
+                   cache_ ? analyticalKey(request) : std::string());
+}
+
+AnalyticalResult
+Session::analyze(const AnalyticalRequest &request,
+                 const std::string &key) const
+{
     const auto error = analyzeError(request);
     VEGETA_ASSERT(!error.has_value(), "bad analytical request: ",
                   error.value_or(""));
@@ -279,7 +286,6 @@ Session::analyze(const AnalyticalRequest &request) const
     // Analytical results are stored like simulation results: equal
     // canonical keys imply bit-identical tables (backends are pure
     // functions of the request), so a warm store skips the backend.
-    const std::string key = analyticalKey(request);
     if (auto hit = cache_->findAnalysis(key)) {
         countHit();
         return *hit;
@@ -397,6 +403,122 @@ Session::runStream(const std::vector<Job> &jobs,
     }
 }
 
+BatchPlan
+Session::planBatch(const std::vector<Job> &jobs, u32 threads,
+                   std::vector<JobResult> *hits) const
+{
+    telemetry::Span plan_span("session.batch.plan", jobs.size());
+    threads = resolveThreads(threads);
+    BatchPlan plan;
+    plan.keys.resize(jobs.size());
+    plan.source.resize(jobs.size());
+
+    // Dedupe: jobs with equal canonical keys are guaranteed to
+    // produce bit-identical results, so only the first occurrence
+    // runs and duplicates copy its slot afterwards.
+    {
+        // Views into plan.keys, which the probes below cut down.
+        std::unordered_map<std::string_view, std::size_t> first;
+        first.reserve(jobs.size());
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            plan.keys[i] = jobKey(jobs[i]);
+            const auto [it, inserted] = first.emplace(plan.keys[i], i);
+            plan.source[i] = it->second;
+            if (inserted)
+                plan.unique.push_back(i);
+        }
+    }
+
+    // Analysis jobs run alone (their store probe happens when they
+    // run); simulation jobs probe the store here (one "session.job"
+    // span each, so a trace's span count equals the batch's unique
+    // job count) and the misses group by the uop stream they replay.
+    const bool probe = hits != nullptr;
+    std::map<StreamKey, std::size_t> group_of;
+    std::vector<StreamGroup> groups;
+    for (const std::size_t i : plan.unique) {
+        std::string &key = plan.keys[i];
+        if (jobs[i].kind == JobKind::Analysis) {
+            if (probe && cache_)
+                key.erase(0, kAnalysisKeyPrefix.size());
+            plan.units.push_back({{{i}}, 0, true});
+            continue;
+        }
+        std::optional<telemetry::Span> span;
+        if (probe) {
+            span.emplace("session.job");
+            (*hits)[i].kind = JobKind::Simulation;
+            if (cache_) {
+                key.erase(0, kSimulationKeyPrefix.size());
+                if (auto hit = probeCache(key)) {
+                    (*hits)[i].simulation = std::move(*hit);
+                    continue;
+                }
+            }
+        }
+        const SimulationRequest &request = jobs[i].simulation;
+        cpu::LaneReplayer::LaneSpec spec = laneSpec(request);
+        const StreamKey stream = streamKey(
+            request, spec.engine.effectiveN(request.patternN));
+        const auto [it, inserted] =
+            group_of.emplace(stream, groups.size());
+        if (inserted)
+            groups.push_back({streamTiles(stream), {}, {}});
+        // Within the stream, jobs of one lane timing share a class:
+        // one lane replays it for all of them.
+        StreamGroup &group = groups[it->second];
+        std::size_t c = 0;
+        while (c < group.leads.size() &&
+               !cpu::LaneReplayer::sameTiming(group.leads[c], spec))
+            ++c;
+        if (c == group.leads.size()) {
+            group.leads.push_back(std::move(spec));
+            group.classes.emplace_back();
+        }
+        group.classes[c].push_back(i);
+    }
+
+    // A group costs one emission and cache probe plus one timing
+    // replay per class, each proportional to the stream's padded
+    // tile count.  A group splits into near-equal chunks of whole
+    // classes (at most one per executor) only while a chunk would
+    // exceed an executor's fair share of the batch, so grouping never
+    // costs parallelism.
+    u64 total = 0;
+    for (const StreamGroup &group : groups)
+        total += group.tiles * (1 + group.classes.size());
+    const u64 share = total / threads;
+    for (StreamGroup &group : groups) {
+        const std::size_t n = group.classes.size();
+        const std::size_t max_parts = std::min<std::size_t>(n, threads);
+        std::size_t parts = 1;
+        while (parts < max_parts &&
+               group.tiles * (1 + (n + parts - 1) / parts) > share)
+            ++parts;
+        for (std::size_t p = 0; p < parts; ++p) {
+            PlanUnit chunk;
+            chunk.classes.assign(
+                std::make_move_iterator(
+                    group.classes.begin() +
+                    static_cast<std::ptrdiff_t>(n * p / parts)),
+                std::make_move_iterator(
+                    group.classes.begin() +
+                    static_cast<std::ptrdiff_t>(n * (p + 1) / parts)));
+            chunk.cost = group.tiles * (1 + chunk.classes.size());
+            plan.units.push_back(std::move(chunk));
+        }
+    }
+    // Largest first (analysis jobs keep the front in batch order):
+    // the long streams start while short ones fill in behind them.
+    std::stable_sort(plan.units.begin(), plan.units.end(),
+                     [](const PlanUnit &a, const PlanUnit &b) {
+                         if (a.analysis != b.analysis)
+                             return a.analysis;
+                         return a.cost > b.cost;
+                     });
+    return plan;
+}
+
 std::vector<JobResult>
 Session::runBatch(const std::vector<Job> &jobs, u32 threads) const
 {
@@ -416,150 +538,41 @@ Session::runBatch(const std::vector<Job> &jobs, u32 threads) const
     telemetry::add(jobs_id, jobs.size());
     telemetry::ScopedTimer batch_scope(batch_timer);
 
-    if (threads == 0) {
-        const unsigned hw = std::thread::hardware_concurrency();
-        threads = hw == 0 ? 1 : static_cast<u32>(hw);
-    }
+    threads = resolveThreads(threads);
+    // The output is identical to running every job on its own -- for
+    // any thread count and plan, store on or off.
+    const BatchPlan plan = planBatch(jobs, threads, &results);
+    telemetry::add(unique_id, plan.unique.size());
 
-    // Batch-level dedupe before dispatch: jobs with equal canonical
-    // keys are guaranteed to produce bit-identical results, so only
-    // the first occurrence runs; duplicates copy its slot afterwards.
-    // The output is therefore identical to running every job -- for
-    // any thread count, store on or off.
-    std::vector<std::size_t> unique;
-    std::vector<std::size_t> source(jobs.size());
-    std::vector<Task> tasks;
-    // Every job's key; a unique simulation job's is then cut down to
-    // its store key, probed here and published after replay.
-    std::vector<std::string> keys(jobs.size());
-    {
-        telemetry::Span plan_span("session.batch.plan", jobs.size());
-        {
-            // Views into keys[], which the probes below cut down.
-            std::unordered_map<std::string_view, std::size_t> first;
-            first.reserve(jobs.size());
-            for (std::size_t i = 0; i < jobs.size(); ++i) {
-                keys[i] = jobKey(jobs[i]);
-                const auto [it, inserted] = first.emplace(keys[i], i);
-                source[i] = it->second;
-                if (inserted)
-                    unique.push_back(i);
-            }
+    auto runUnit = [&](const PlanUnit &unit) {
+        if (!unit.analysis) {
+            runStream(jobs, unit.classes, plan.keys, results);
+            return;
         }
-
-        // Analysis jobs run alone; simulation jobs probe the store
-        // here (one "session.job" span each, so a trace's span count
-        // equals the batch's unique job count) and the misses group
-        // by the uop stream they replay.
-        std::map<StreamKey, std::size_t> group_of;
-        std::vector<StreamGroup> groups;
-        for (const std::size_t i : unique) {
-            if (jobs[i].kind == JobKind::Analysis) {
-                tasks.push_back({{{i}}, 0, true});
-                continue;
-            }
-            telemetry::Span span("session.job");
-            results[i].kind = JobKind::Simulation;
-            const SimulationRequest &request = jobs[i].simulation;
-            if (cache_) {
-                // The job key is kSimulationKeyPrefix + cacheKey.
-                keys[i].erase(0, kSimulationKeyPrefix.size());
-                if (auto hit = probeCache(keys[i])) {
-                    results[i].simulation = std::move(*hit);
-                    continue;
-                }
-            }
-            cpu::LaneReplayer::LaneSpec spec = laneSpec(request);
-            const StreamKey key = streamKey(
-                request, spec.engine.effectiveN(request.patternN));
-            const auto [it, inserted] =
-                group_of.emplace(key, groups.size());
-            if (inserted)
-                groups.push_back({streamTiles(key), {}, {}});
-            // Within the stream, jobs of one lane timing share a
-            // class: one lane replays it for all of them.
-            StreamGroup &group = groups[it->second];
-            std::size_t c = 0;
-            while (c < group.leads.size() &&
-                   !cpu::LaneReplayer::sameTiming(group.leads[c], spec))
-                ++c;
-            if (c == group.leads.size()) {
-                group.leads.push_back(std::move(spec));
-                group.classes.emplace_back();
-            }
-            group.classes[c].push_back(i);
-        }
-
-        // A group costs one emission and cache probe plus one
-        // timing replay per class, each proportional to the stream's
-        // padded tile count.  A group splits into near-equal chunks
-        // of whole classes (at most one per thread) only while a
-        // chunk would exceed a thread's fair share of the batch, so
-        // grouping never costs parallelism.
-        u64 total = 0;
-        for (const StreamGroup &group : groups)
-            total += group.tiles * (1 + group.classes.size());
-        const u64 share = total / threads;
-        for (StreamGroup &group : groups) {
-            const std::size_t n = group.classes.size();
-            const std::size_t max_parts =
-                std::min<std::size_t>(n, threads);
-            std::size_t parts = 1;
-            while (parts < max_parts &&
-                   group.tiles * (1 + (n + parts - 1) / parts) > share)
-                ++parts;
-            for (std::size_t p = 0; p < parts; ++p) {
-                Task chunk;
-                chunk.classes.assign(
-                    std::make_move_iterator(
-                        group.classes.begin() +
-                        static_cast<std::ptrdiff_t>(n * p / parts)),
-                    std::make_move_iterator(
-                        group.classes.begin() +
-                        static_cast<std::ptrdiff_t>(n * (p + 1) /
-                                                    parts)));
-                chunk.cost = group.tiles * (1 + chunk.classes.size());
-                tasks.push_back(std::move(chunk));
-            }
-        }
-        // Largest first (analysis jobs keep the front in batch
-        // order): the long streams start while short ones fill in
-        // behind them.
-        std::stable_sort(tasks.begin(), tasks.end(),
-                         [](const Task &a, const Task &b) {
-                             if (a.analysis != b.analysis)
-                                 return a.analysis;
-                             return a.cost > b.cost;
-                         });
-    }
-    telemetry::add(unique_id, unique.size());
-
-    auto runTask = [&](const Task &task) {
-        if (task.analysis) {
-            const std::size_t i = task.classes[0][0];
-            results[i] = run(jobs[i]);
-        } else {
-            runStream(jobs, task.classes, keys, results);
-        }
+        const std::size_t i = unit.classes[0][0];
+        telemetry::Span span("session.job");
+        results[i].kind = JobKind::Analysis;
+        results[i].analysis = analyze(jobs[i].analysis, plan.keys[i]);
     };
 
+    const std::vector<PlanUnit> &units = plan.units;
     const u32 workers =
-        std::min<u32>(threads, static_cast<u32>(tasks.size()));
+        std::min<u32>(threads, static_cast<u32>(units.size()));
     if (workers <= 1) {
-        for (const Task &task : tasks)
-            runTask(task);
+        for (const PlanUnit &unit : units)
+            runUnit(unit);
     } else {
         // Work-stealing by atomic index: each worker claims the next
-        // unclaimed task and writes into its slots, so the result
+        // unclaimed unit and writes into its slots, so the result
         // vector is independent of scheduling.
         std::atomic<std::size_t> next{0};
         auto worker = [&]() {
             for (;;) {
-                const std::size_t t =
+                const std::size_t u =
                     next.fetch_add(1, std::memory_order_relaxed);
-                if (t >= tasks.size())
+                if (u >= units.size())
                     return;
-                runTask(tasks[t]);
+                runUnit(units[u]);
             }
         };
 
@@ -572,8 +585,8 @@ Session::runBatch(const std::vector<Job> &jobs, u32 threads) const
     }
 
     for (std::size_t i = 0; i < jobs.size(); ++i)
-        if (source[i] != i)
-            results[i] = results[source[i]];
+        if (plan.source[i] != i)
+            results[i] = results[plan.source[i]];
     return results;
 }
 

@@ -26,6 +26,8 @@
 
 #include <atomic>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "sim/disk_cache.hpp"
 #include "sim/job.hpp"
@@ -33,6 +35,42 @@
 #include "sim/result.hpp"
 
 namespace vegeta::sim {
+
+/**
+ * One unit of a batch plan: an analysis job, or a chunk of one
+ * stream group's timing classes.
+ */
+struct PlanUnit
+{
+    /** Job indices, one class per replayed lane (each class in
+     *  batch order); an analysis unit is {{i}}. */
+    std::vector<std::vector<std::size_t>> classes;
+
+    /** The stream's padded tiles x (1 + classes): one emission plus
+     *  one replay per lane (0 for an analysis). */
+    u64 cost = 0;
+
+    bool analysis = false;
+};
+
+/** How a job batch runs: the output of Session::planBatch. */
+struct BatchPlan
+{
+    /** keys[i]: jobs[i]'s jobKey.  When the plan probed a store, a
+     *  unique job's key is cut down to its store key (cacheKey or
+     *  analyticalKey). */
+    std::vector<std::string> keys;
+
+    /** source[i]: the first job whose key equals jobs[i]'s. */
+    std::vector<std::size_t> source;
+
+    /** The first job of every key, in batch order. */
+    std::vector<std::size_t> unique;
+
+    /** The work left after the probe: analyses first (in batch
+     *  order), then the stream chunks largest first. */
+    std::vector<PlanUnit> units;
+};
 
 /** Facade over kernel generation + the trace-driven CPU model. */
 class Session
@@ -154,6 +192,22 @@ class Session
     std::vector<JobResult> runBatch(const std::vector<Job> &jobs,
                                     u32 threads = 0) const;
 
+    /**
+     * runBatch's plan phase, for @p threads executors (0 picks the
+     * hardware concurrency): dedupe by jobKey; probe the store for
+     * every unique simulation job when @p hits is non-null (a hit
+     * lands in (*hits)[i], sized like @p jobs, and needs no unit);
+     * group the remaining simulation jobs by uop stream and, within
+     * a stream, by timing class; split a group into near-equal
+     * chunks of whole classes only while a chunk would exceed an
+     * executor's fair share of the total cost; and order the units
+     * largest first.  A WorkerSet deals the same plan, made with no
+     * probe (its workers own the store), so a pool runs exactly the
+     * units runBatch would.
+     */
+    BatchPlan planBatch(const std::vector<Job> &jobs, u32 threads,
+                        std::vector<JobResult> *hits = nullptr) const;
+
     /** Trace-only convenience overload of runBatch. */
     std::vector<SimulationResult>
     runBatch(const std::vector<SimulationRequest> &requests,
@@ -197,6 +251,11 @@ class Session
 
     SimulationResult runUncached(const SimulationRequest &request,
                                  cpu::Trace *trace_out) const;
+
+    /** analyze() against the store under @p key (its
+     *  analyticalKey; unused when no store is attached). */
+    AnalyticalResult analyze(const AnalyticalRequest &request,
+                             const std::string &key) const;
 
     /** One lookup in the store (counted as a hit or a miss). */
     std::optional<SimulationResult>

@@ -1,10 +1,14 @@
 /**
  * @file
  * Process-pool executor tests: a pooled batch merges bit-for-bit
- * identical to single-process runBatch at workers in {1, 2, 5}, a
- * warm shared cache directory makes a repeated pooled run perform
- * zero simulations across all workers, duplicate jobs fan out, and
- * worker failures surface as clean per-worker errors.
+ * identical to single-process runBatch at workers in {1, 2, 5}, the
+ * pool deals whole stream groups (N one-thread workers replay what N
+ * in-process threads do), seeded worker start delays that reorder the
+ * pull-based deal never change the bytes, each worker's telemetry is
+ * absorbed once however many frames it answered, a warm shared cache
+ * directory makes a repeated pooled run perform zero simulations
+ * across all workers, duplicate jobs fan out, and worker failures
+ * surface as clean per-worker errors.
  *
  * This binary is its own pool worker: main() routes the hidden
  * "worker" argv token to poolWorkerMain before gtest ever runs,
@@ -20,11 +24,14 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <set>
 
+#include "common/random.hpp"
 #include "expect_identical.hpp"
 #include "sim/job_io.hpp"
 #include "sim/pool.hpp"
 #include "sim/session.hpp"
+#include "sim/telemetry.hpp"
 #include "sim/wire.hpp"
 
 namespace vegeta::sim {
@@ -81,6 +88,45 @@ mixedBatch(const Session &session)
     return jobs;
 }
 
+/** The `sweep --quick` grid: 135 small jobs on 9 shared streams. */
+std::vector<Job>
+quickGrid(const Session &session)
+{
+    std::vector<std::string> workloads;
+    for (const auto &workload : session.workloads().group("quick"))
+        workloads.push_back(workload.name);
+    std::vector<Job> jobs;
+    for (auto &request : figure13Grid(session, workloads,
+                                      session.engines().names()))
+        jobs.push_back(Job::simulate(std::move(request)));
+    return jobs;
+}
+
+/** A telemetry counter so far (0 without telemetry). */
+u64
+counter(const char *name)
+{
+    return telemetry::snapshot().counter(name);
+}
+
+/** Shared-stream work done in this process (absorbed included). */
+struct StreamCounts
+{
+    u64 groups = counter("session.stream.groups");
+    u64 replays = counter("session.stream.replays");
+    u64 lanes = counter("session.stream.lanes");
+
+    /** What was counted since @p before. */
+    StreamCounts since(const StreamCounts &before) const
+    {
+        StreamCounts delta = *this;
+        delta.groups -= before.groups;
+        delta.replays -= before.replays;
+        delta.lanes -= before.lanes;
+        return delta;
+    }
+};
+
 TEST(ProcessPool, MergesBitIdenticalToSingleProcess)
 {
     const Session session;
@@ -97,8 +143,132 @@ TEST(ProcessPool, MergesBitIdenticalToSingleProcess)
         ASSERT_TRUE(pooled.ok) << pooled.error;
         EXPECT_TRUE(pooled.stats.usedProcessPool);
         EXPECT_EQ(pooled.stats.uniqueJobs, jobs.size() - 1);
+        // Workers are capped at the units the plan deals: a worker
+        // with no unit to run is never spawned.
+        const std::size_t units =
+            session.planBatch(jobs, workers * 2).units.size();
         EXPECT_EQ(pooled.stats.workersSpawned,
-                  std::min<u32>(workers, jobs.size() - 1));
+                  std::min<std::size_t>(workers, units));
+        expectIdenticalBatches(pooled.results, reference);
+    }
+}
+
+TEST(ProcessPool, KeepsStreamGroupsWhole)
+{
+    // The pool deals runBatch's own plan, whole stream groups pulled
+    // largest first: N one-thread workers emit and replay exactly
+    // what N in-process threads do -- no stream is emitted twice and
+    // no timing class is replayed twice -- and the merge reads the
+    // bytes of a one-thread batch.
+    const Session session;
+    const auto jobs = quickGrid(session);
+    const auto reference = Session().runBatch(jobs, 1);
+    for (const u32 n : {1u, 2u, 4u}) {
+        SCOPED_TRACE("workers " + std::to_string(n));
+        const StreamCounts before_threads;
+        Session().runBatch(jobs, n);
+        const StreamCounts threads = StreamCounts().since(
+            before_threads);
+
+        PoolOptions options;
+        options.workers = n;
+        options.threadsPerWorker = 1;
+        options.minPooledJobs = 1;
+        const StreamCounts before_pool;
+        const auto pooled = ProcessPool(options).run(session, jobs);
+        const StreamCounts pool = StreamCounts().since(before_pool);
+        ASSERT_TRUE(pooled.ok) << pooled.error;
+        EXPECT_EQ(pooled.stats.workersSpawned, n);
+        EXPECT_EQ(pooled.stats.simulationsPerformed, jobs.size());
+        expectIdenticalBatches(pooled.results, reference);
+#ifndef VEGETA_NO_TELEMETRY
+        EXPECT_GT(threads.groups, 0u);
+        EXPECT_EQ(pool.groups, threads.groups);
+        EXPECT_EQ(pool.replays, threads.replays);
+#else
+        (void)threads;
+        (void)pool;
+#endif
+    }
+}
+
+TEST(ProcessPool, AbsorbsEachWorkerOnce)
+{
+    // Two one-thread workers pull 9 stream groups, so each answers
+    // several frames, every one carrying its cumulative snapshot.
+    // The parent must fold in each worker's latest snapshot once:
+    // an absorb per frame would count early frames' lanes again.
+    const Session session;
+    const auto jobs = quickGrid(session);
+    std::set<std::string> unique;
+    for (const Job &job : jobs)
+        unique.insert(jobKey(job));
+
+    PoolOptions options;
+    options.workers = 2;
+    options.threadsPerWorker = 1;
+    options.minPooledJobs = 1;
+    const StreamCounts before;
+    const u64 slices = counter("pool.slices");
+    const u64 batches = counter("session.batches");
+    const auto pooled = ProcessPool(options).run(session, jobs);
+    const StreamCounts absorbed = StreamCounts().since(before);
+    ASSERT_TRUE(pooled.ok) << pooled.error;
+#ifndef VEGETA_NO_TELEMETRY
+    EXPECT_EQ(absorbed.lanes, unique.size());
+    // One worker runBatch per frame, and more frames than workers.
+    EXPECT_EQ(counter("session.batches") - batches,
+              counter("pool.slices") - slices);
+    EXPECT_GT(counter("pool.slices") - slices, 2u);
+#else
+    (void)absorbed;
+    (void)slices;
+    (void)batches;
+#endif
+}
+
+TEST(ProcessPool, PullOrderNeverChangesTheBytes)
+{
+    // Seeded start delays make a different worker answer first, so
+    // the pull-based deal hands the units out in a different order
+    // each time; the merged bytes must not move.  Each wrapped worker
+    // claims the next index with an atomic mkdir, sleeps that
+    // index's delay, then execs the real worker.
+    const Session session;
+    const auto jobs = quickGrid(session);
+    const auto reference = Session().runBatch(jobs, 1);
+    const std::string script =
+        "i=0; while ! mkdir \"$0/$i\" 2>/dev/null; do i=$((i+1)); done;"
+        " n=0; for d in $DELAYS; do"
+        " [ $n = $i ] && sleep $d; n=$((n+1)); done; exec \"$@\"";
+    for (const u64 seed : {1u, 2u, 3u}) {
+        Rng rng(seed);
+        std::string delays;
+        for (u32 w = 0; w < 3; ++w) {
+            const u64 hundredths = rng.nextBelow(16);
+            delays += (w ? " 0." : "0.") +
+                      std::string(hundredths < 10 ? "0" : "") +
+                      std::to_string(hundredths);
+        }
+        SCOPED_TRACE("seed " + std::to_string(seed) + ", delays " +
+                     delays);
+        const std::string claims =
+            freshDir("pull_order_" + std::to_string(seed));
+        fs::create_directories(claims);
+
+        PoolOptions options;
+        options.workers = 3;
+        options.threadsPerWorker = 1;
+        options.minPooledJobs = 1;
+        std::string wrapped = script;
+        wrapped.replace(wrapped.find("$DELAYS"), 7, delays);
+        options.workerCommand = {"/bin/sh", "-c", wrapped, claims,
+                                 currentExecutablePath(), "worker"};
+        const auto pooled = ProcessPool(options).run(session, jobs);
+        ASSERT_TRUE(pooled.ok) << pooled.error;
+        EXPECT_EQ(pooled.stats.workersSpawned, 3u);
+        EXPECT_EQ(pooled.stats.simulationsPerformed, jobs.size());
+        EXPECT_TRUE(fs::exists(fs::path(claims) / "2"));
         expectIdenticalBatches(pooled.results, reference);
     }
 }

@@ -350,5 +350,32 @@ TEST(SessionStore, ProbesTheStoreOncePerJob)
     EXPECT_EQ(fresh.simulationsPerformed(), 0u);
 }
 
+TEST(SessionStore, BatchedAnalysisUsesItsAnalyticalKey)
+{
+    // runBatch stores an analysis under the key its plan phase built
+    // (the job key less its prefix): exactly analyticalKey, so a
+    // direct analyze() of the same request is a hit, and the reverse.
+    Session session;
+    const auto store = session.enableCache();
+    AnalyticalRequest first;
+    first.model = "fig15-unstructured";
+    first.params["degree"] = 0.95;
+    AnalyticalRequest second;
+    second.model = "fig4-vector-vs-matrix";
+
+    const auto batch = session.runBatch(
+        {Job::analyze(first), Job::analyze(first)}, 2);
+    EXPECT_EQ(session.analysesPerformed(), 1u);
+    EXPECT_TRUE(store->findAnalysis(analyticalKey(first)).has_value());
+    expectIdenticalAnalysis(session.analyze(first), batch[0].analysis);
+    EXPECT_EQ(session.analysesPerformed(), 1u);
+    expectIdenticalAnalysis(batch[1].analysis, batch[0].analysis);
+
+    session.analyze(second);
+    EXPECT_EQ(session.analysesPerformed(), 2u);
+    session.runBatch({Job::analyze(second)}, 1);
+    EXPECT_EQ(session.analysesPerformed(), 2u);
+}
+
 } // namespace
 } // namespace vegeta::sim

@@ -177,6 +177,62 @@ TEST(Service, InProcessWithoutCacheDirSkipsWarmRepeats)
     server.stop();
 }
 
+TEST(Service, WorkerModeWithoutCacheDirSkipsWarmRepeats)
+{
+    // Each worker keeps its own memory-only store, and idle workers
+    // pull units in whatever order they finish.  A repeated unit
+    // must still go back to the worker that holds it, so repeats of
+    // a many-unit batch, two clients at a time, perform no work.
+    const std::string dir = freshSocketDir("workersnocache");
+    ServerOptions options;
+    options.socketPath = dir + "/sim.sock";
+    options.serviceWorkers = 2;
+    options.threads = 1;
+    SimServer server(options);
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+
+    const Session local;
+    std::vector<std::string> workloads;
+    for (const auto &workload : local.workloads().group("quick"))
+        workloads.push_back(workload.name);
+    std::vector<Job> jobs = mixedBatch();
+    for (auto &request : figure13Grid(local, workloads,
+                                      local.engines().names()))
+        jobs.push_back(Job::simulate(std::move(request)));
+
+    ClientOptions client_options;
+    client_options.address = options.socketPath;
+    SimClient client(client_options);
+    ASSERT_TRUE(client.connect(&error)) << error;
+    const auto cold = client.runBatch(jobs, &error);
+    ASSERT_TRUE(cold.has_value()) << error;
+    EXPECT_GT(cold->simulationsPerformed, 0u);
+
+    std::vector<std::thread> clients;
+    std::vector<u64> work(2 * 3, ~u64(0));
+    for (std::size_t c = 0; c < 2; ++c)
+        clients.emplace_back([&, c] {
+            SimClient repeat(client_options);
+            std::string repeat_error;
+            if (!repeat.connect(&repeat_error))
+                return;
+            for (std::size_t r = 0; r < 3; ++r)
+                if (const auto warm =
+                        repeat.runBatch(jobs, &repeat_error))
+                    work[c * 3 + r] = warm->simulationsPerformed +
+                                      warm->analysesPerformed;
+        });
+    for (auto &thread : clients)
+        thread.join();
+    for (const u64 performed : work)
+        EXPECT_EQ(performed, 0u);
+    const auto warm = client.runBatch(jobs, &error);
+    ASSERT_TRUE(warm.has_value()) << error;
+    expectIdenticalBatches(warm->results, cold->results);
+    server.stop();
+}
+
 TEST(Service, BatchIdenticalToLocalWithTracingEnabled)
 {
     // Byte-identity must survive armed span recording (--trace-out):
