@@ -487,20 +487,25 @@ main(int argc, char **argv)
     // spreading over 2 worker processes actually beats running the
     // batch in-process.  defaultPoolCrossoverJobs() is pinned to this
     // measurement's committed trajectory value (0 = the pool never
-    // won at any tested size on this host).
+    // won at any tested size on this host).  A probe batch takes one
+    // job from each of `size` distinct units of the 2-executor plan,
+    // so each job is a unit of its own and a second worker has work
+    // to pull.
     u32 measured_crossover = 0;
     {
         const std::vector<std::size_t> batch_sizes =
             smoke ? std::vector<std::size_t>{2, 4}
                   : std::vector<std::size_t>{2, 4, 8, 16};
         const int crossover_reps = smoke ? 1 : 2;
+        const sim::BatchPlan probe_plan =
+            simulator.planBatch(pool_jobs, 2);
         for (const std::size_t size : batch_sizes) {
-            if (size > pool_jobs.size())
+            if (size > probe_plan.units.size())
                 break;
-            const std::vector<sim::Job> subset(
-                pool_jobs.begin(),
-                pool_jobs.begin() +
-                    static_cast<std::ptrdiff_t>(size));
+            std::vector<sim::Job> subset;
+            for (std::size_t u = 0; u < size; ++u)
+                subset.push_back(
+                    pool_jobs[probe_plan.units[u].classes[0][0]]);
             double inproc_secs = 0, pooled_secs = 0;
             for (int r = 0; r < crossover_reps; ++r) {
                 // Fresh session per rep: its in-memory result cache
@@ -617,28 +622,30 @@ main(int argc, char **argv)
     const std::string baseline_text =
         baseline_path.empty() ? "" : readFileText(baseline_path);
 
-    // Replace only this bench's fields: bench_service may have
-    // written a "service" row family into the same commit's entry,
-    // which a replay re-run must carry over, not clobber.
+    // Replace only this bench's fields: bench_service and bench_tune
+    // may have written their row families into the same commit's
+    // entry, which a replay re-run must carry over, not clobber.
     std::string merged_entry = entry.str();
     for (const auto &old : trajectoryEntries(readFileText(out_path))) {
         if (entryCommit(old) != commit)
             continue;
-        const std::string service =
-            bench::extractEntryField(old, "service");
-        if (service.empty())
-            continue;
-        // Not our row family: refuse to clobber (duplicate
-        // same-commit entries disagreeing about "service" would
-        // otherwise silently last-win here).
-        std::string conflict;
-        merged_entry = bench::upsertEntryField(
-            merged_entry, "service", service, /*owned=*/false,
-            &conflict);
-        if (!conflict.empty()) {
-            std::cerr << "trajectory merge failed: " << conflict
-                      << "\n";
-            return 2;
+        for (const char *family : {"service", "tune", "tune_quick"}) {
+            const std::string rows =
+                bench::extractEntryField(old, family);
+            if (rows.empty())
+                continue;
+            // Not our row family: refuse to clobber (duplicate
+            // same-commit entries disagreeing about it would
+            // otherwise silently last-win here).
+            std::string conflict;
+            merged_entry = bench::upsertEntryField(
+                merged_entry, family, rows, /*owned=*/false,
+                &conflict);
+            if (!conflict.empty()) {
+                std::cerr << "trajectory merge failed: " << conflict
+                          << "\n";
+                return 2;
+            }
         }
     }
     std::size_t total_entries = 0;

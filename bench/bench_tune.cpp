@@ -11,6 +11,13 @@
  * family of the current commit's entry (bench/trajectory.hpp), next
  * to the replay-throughput and service families.
  *
+ * A second family, "tune_quick", measures what the cost model earns
+ * on the `tune --quick` space (every quick workload, 405 valid
+ * points): exhaustive search at each budget once with no persistent
+ * store (the analytical prefilter alone ranks) and once with a store
+ * warmed by a quick and a full Figure 13 sweep (the cost model
+ * trained on its records re-ranks).
+ *
  * Usage: bench_tune [--smoke] [--out FILE] [--commit KEY]
  *                   [--workload NAME] [--max-regret X]
  *
@@ -19,8 +26,11 @@
  * analytical prefilter keeps finding the true optimum.
  */
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -50,6 +60,132 @@ bestCyclesPerMac(const sim::TuneReport &report)
 {
     const auto *best = report.best();
     return best ? best->measuredCyclesPerMac : 0.0;
+}
+
+/** The replay-confirmed optimum of @p space: every point replayed. */
+double
+spaceOptimum(const sim::Session &session, const sim::TuneSpace &space)
+{
+    sim::TuneOptions options;
+    options.strategy = sim::TuneStrategy::CappedExhaustive;
+    options.budget.replays = u32(space.rawSize());
+    return bestCyclesPerMac(sim::Tuner(session, options).run(space));
+}
+
+/** One budget of the quick-space comparison. */
+struct QuickPoint
+{
+    u32 budget = 0;
+    double coldExhaustiveRegret = 0.0;
+    double coldHalvingRegret = 0.0;
+    double warmExhaustiveRegret = 0.0;
+    double warmTrainRmse = 0.0;
+    u64 warmSamples = 0;
+    double seconds = 0.0;
+};
+
+/**
+ * The "tune_quick" family: regret on the `tune --quick` space with
+ * no persistent store, and with one warmed by a quick and a full
+ * Figure 13 sweep.  Each warm search starts from a fresh copy of the
+ * warmed store, so no budget's replays train a later one.
+ */
+std::string
+quickSpaceRows(const std::vector<u32> &budgets)
+{
+    namespace fs = std::filesystem;
+    sim::Session cold;
+    cold.enableCache(); // memory-only: the cost model stays off
+    std::vector<std::string> quick;
+    for (const auto &workload : cold.workloads().group("quick"))
+        quick.push_back(workload.name);
+    const auto space = sim::TuneSpace::full(cold, quick);
+    const double optimum = spaceOptimum(cold, space);
+
+    const fs::path root = fs::temp_directory_path() /
+                          ("vegeta_bench_tune_" +
+                           std::to_string(::getpid()));
+    fs::remove_all(root);
+    const fs::path warm_dir = root / "warm";
+    u64 warm_records = 0;
+    {
+        sim::Session warm;
+        const auto store = warm.attachDiskCache(warm_dir.string());
+        for (const char *group : {"quick", "tableIV"}) {
+            std::vector<std::string> names;
+            for (const auto &workload : warm.workloads().group(group))
+                names.push_back(workload.name);
+            warm.runBatch(sim::figure13Grid(warm, names,
+                                            warm.engines().names()));
+        }
+        warm_records = store->size();
+    }
+    std::printf("quick space: optimum %.6f cycles/MAC; warm store "
+                "%llu records\n",
+                optimum, static_cast<unsigned long long>(warm_records));
+
+    std::vector<QuickPoint> points;
+    u64 valid = 0;
+    for (const u32 budget : budgets) {
+        QuickPoint point;
+        point.budget = budget;
+        const auto t0 = bench::Clock::now();
+        sim::TuneOptions options;
+        options.budget.replays = budget;
+        options.strategy = sim::TuneStrategy::CappedExhaustive;
+        const auto exhaustive = sim::Tuner(cold, options).run(space);
+        valid = exhaustive.validPoints;
+        options.strategy = sim::TuneStrategy::RandomHalving;
+        const auto halving = sim::Tuner(cold, options).run(space);
+
+        const fs::path copy =
+            root / ("budget" + std::to_string(budget));
+        fs::copy(warm_dir, copy, fs::copy_options::recursive);
+        sim::Session warm;
+        warm.attachDiskCache(copy.string());
+        options.strategy = sim::TuneStrategy::CappedExhaustive;
+        const auto trained = sim::Tuner(warm, options).run(space);
+
+        point.seconds = bench::seconds(t0, bench::Clock::now());
+        point.coldExhaustiveRegret =
+            bestCyclesPerMac(exhaustive) / optimum - 1.0;
+        point.coldHalvingRegret =
+            bestCyclesPerMac(halving) / optimum - 1.0;
+        point.warmExhaustiveRegret =
+            bestCyclesPerMac(trained) / optimum - 1.0;
+        point.warmTrainRmse =
+            trained.costModelUsed ? trained.costModelRmse : 0.0;
+        point.warmSamples = trained.costModelSamples;
+        points.push_back(point);
+        std::printf("quick budget %2u: exhaustive regret %.4f cold, "
+                    "%.4f warm (model on %llu samples, rmse %.4f); "
+                    "halving regret %.4f cold (%.3fs)\n",
+                    budget, point.coldExhaustiveRegret,
+                    point.warmExhaustiveRegret,
+                    static_cast<unsigned long long>(point.warmSamples),
+                    point.warmTrainRmse, point.coldHalvingRegret,
+                    point.seconds);
+    }
+    fs::remove_all(root);
+
+    std::ostringstream rows;
+    rows << "{\"space\": \"quick\", \"valid_points\": " << valid
+         << ", \"optimum_cycles_per_mac\": " << optimum
+         << ", \"warm_records\": " << warm_records
+         << ", \"budgets\": [";
+    for (std::size_t i = 0; i < points.size(); ++i)
+        rows << (i ? ", " : "") << "{\"budget\": " << points[i].budget
+             << ", \"cold_exhaustive_regret\": "
+             << points[i].coldExhaustiveRegret
+             << ", \"cold_halving_regret\": "
+             << points[i].coldHalvingRegret
+             << ", \"warm_exhaustive_regret\": "
+             << points[i].warmExhaustiveRegret
+             << ", \"warm_samples\": " << points[i].warmSamples
+             << ", \"warm_train_rmse\": " << points[i].warmTrainRmse
+             << ", \"seconds\": " << points[i].seconds << "}";
+    rows << "]}";
+    return rows.str();
 }
 
 } // namespace
@@ -177,6 +313,9 @@ main(int argc, char **argv)
         entry = "{\"commit\": \"" + commit + "\", \"mode\": \"" +
                 (smoke ? "smoke" : "full") + "\"}";
     entry = bench::upsertEntryField(entry, "tune", tune.str(),
+                                    /*owned=*/true, nullptr);
+    entry = bench::upsertEntryField(entry, "tune_quick",
+                                    quickSpaceRows(budgets),
                                     /*owned=*/true, nullptr);
     std::size_t total_entries = 0;
     if (!bench::mergeTrajectoryEntry(out_path, commit, entry,

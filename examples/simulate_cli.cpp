@@ -16,10 +16,11 @@
  * `run` and `sweep` accept --cache-dir DIR to attach the Session's
  * persistent result cache; `cache stats` prints its counters as JSON
  * and `cache prune` bounds the file under --max-bytes/--max-entries.
- * `sweep --workers N` spreads the grid over N exec'd worker processes
- * (sim/pool.hpp) that re-enter this binary through the hidden
- * `worker` subcommand and share the --cache-dir; the merged output
- * is byte-identical to the single-process sweep.  Every numeric flag
+ * `sweep --workers N` spreads the grid's store misses over N exec'd,
+ * store-less worker processes (sim/pool.hpp) that re-enter this
+ * binary through the hidden `worker` subcommand; this process probes
+ * and fills the --cache-dir, and the merged output is byte-identical
+ * to the single-process sweep.  Every numeric flag
  * goes through the strict sim parsers (parseU32 / parseGemmSpec):
  * garbage or negative values are errors, never silently-zero atoi
  * results.
@@ -111,7 +112,7 @@ usage(std::ostream &os)
           "  --workers N         shard over N worker processes\n"
           "                      (byte-identical to single-process)\n"
           "  --cache-dir DIR     attach the persistent result cache\n"
-          "                      (shared by all pool workers)\n"
+          "                      (opened here, never by workers)\n"
           "  --connect ADDR      run on a serve daemon instead of\n"
           "                      locally (byte-identical output)\n"
           "  --trace-out FILE    write a Chrome trace_event span\n"
@@ -647,9 +648,9 @@ cmdSweep(Args args)
     if (cache_dir.empty()) {
         session.enableCache();
     } else if (workers > 0) {
-        // Pooled mode: the WORKERS open the shared cache; the parent
-        // only checks the directory is usable instead of loading a
-        // potentially large file it would never read.
+        // Pooled mode: the pool opens the store itself, in this
+        // process, when it runs the batch (its workers never do);
+        // only check here that the directory is usable.
         std::error_code ec;
         std::filesystem::create_directories(cache_dir, ec);
         if (ec || !std::filesystem::is_directory(cache_dir)) {
@@ -765,8 +766,9 @@ cmdSweep(Args args)
     else if (workers > 0)
         std::cerr << " across " << workers << " workers";
     std::cerr << "\n";
-    // In pooled/service mode the cache traffic happened elsewhere;
-    // the parent's view would read 0/0 regardless, so say nothing.
+    // In pooled mode the pool's own store took the cache traffic, in
+    // service mode the server's; this session's view would read 0/0,
+    // so say nothing.
     if (workers == 0 && connect_addr.empty())
         reportDiskCache(session);
     return writeTelemetryFiles(metrics_out, span_trace_out);

@@ -51,10 +51,10 @@ formatAnaRecord(const std::string &key, const AnalyticalResult &r)
 
 /**
  * RAII exclusive flock over the backing file, creating it as needed.
- * Concurrent writer processes (pool workers sharing one cache dir)
- * serialize on this lock, so records are appended whole -- the
- * explicit spelling of the "concurrent first-insert-wins appends are
- * safe" guarantee.
+ * Separate processes that open one directory (two sweeps, or a sweep
+ * and a server) serialize on this lock, so records are appended
+ * whole -- the explicit spelling of the "first-insert-wins appends
+ * from several processes are safe" guarantee.
  */
 class LockedFile
 {

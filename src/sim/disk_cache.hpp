@@ -28,13 +28,16 @@
  * through their raw bit pattern so persisted results stay bit-for-bit
  * identical to freshly computed ones.
  *
- * Appends take an exclusive flock() on the backing file, so any
- * number of concurrent writer processes (pool workers sharing one
- * --cache-dir) interleave whole records, never torn ones; combined
- * with first-insert-wins load semantics, concurrent writers are safe
- * by construction.  The append-only file can be bounded with prune():
- * keep the most-recently-appended entries under a byte and/or entry
- * budget and compact the file in place.
+ * Within one batch the store is read once (the plan's probe) and
+ * written once (the commit, in batch order), both by the process
+ * that owns the batch; pool and service workers never touch it.
+ * Appends still take an exclusive flock() on the backing file, so
+ * separate processes that open one directory interleave whole
+ * records, never torn ones; combined with first-insert-wins load
+ * semantics, such writers are safe by construction.  The append-only
+ * file can be bounded with prune(): keep the most-recently-appended
+ * entries under a byte and/or entry budget and compact the file in
+ * place.
  */
 
 #ifndef VEGETA_SIM_DISK_CACHE_HPP
@@ -97,10 +100,10 @@ struct DiskCacheMerge
 /**
  * Thread-safe map from canonical request keys to results, optionally
  * backed by `<directory>/results.vgc`.  A persistent store reads the
- * file once on construction and appends to it on insert, so sessions
- * (and pool worker processes) pointed at the same directory share
- * results.  First insert wins: equal keys imply equal results, so a
- * later insert under a held key is a no-op.
+ * file once on construction and appends to it on insert, so a later
+ * session pointed at the same directory shares its results.  First
+ * insert wins: equal keys imply equal results, so a later insert
+ * under a held key is a no-op.
  */
 class DiskResultCache
 {

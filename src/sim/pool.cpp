@@ -65,19 +65,18 @@ defaultPoolCrossoverJobs()
 {
     // Re-read off the committed BENCH_replay trajectory: the
     // pool_crossover_measured_jobs row is 0 in every entry that
-    // records it, the stream-affine-deal entry included -- the
-    // bench's probe over 2..16 unique jobs never found a batch size
-    // where the process pool beat the in-process fallback (pooled
-    // ~2 ms of spawn, session start-up and frame round trips against
-    // well under 1 ms in-process).  Those probe batches are the
-    // front of one layer's grid, a single stream group, so since the
-    // pool deals whole groups one worker runs them all: the probe
-    // cannot show a win below 16 jobs.  (The same entry's pool_sweep
-    // row puts 2 and 4 workers ahead of 1, but its 45-job grid runs
-    // in ~5 ms, mostly spawn.)  With no measured win below the probe
-    // ceiling, the crossover stays at 128 -- the low-hundreds scale
-    // where per-worker setup provably amortizes -- and is
-    // conservative on purpose: the in-process fallback is never
+    // records it.  Since the store-owner entry the bench's probe
+    // batches take one job from each of 2, 4 and 8 distinct units of
+    // a 2-executor plan (its 45-job grid plans 9 units, so 16 is out
+    // of reach), so each job is a unit of its own and the second
+    // worker always has one to pull -- and the pool still lost at
+    // every size: ~3 ms of spawn, session start-up and frame round
+    // trips against under 1 ms in-process.  (The same entry's
+    // pool_sweep row puts 2 and 4 workers ahead of 1, but its 45-job
+    // grid runs in ~5 ms, mostly spawn.)  With no measured win below
+    // the probe ceiling, the crossover stays at 128 -- the
+    // low-hundreds scale where per-worker setup provably amortizes --
+    // and is conservative on purpose: the in-process path is never
     // slower on batches this size, and both paths are bit-identical.
     return 128;
 }
@@ -85,9 +84,8 @@ defaultPoolCrossoverJobs()
 // --- WorkerSet -------------------------------------------------------
 
 std::unique_ptr<WorkerSet>
-WorkerSet::spawn(u32 workers, const std::string &cache_dir,
-                 u32 threads, std::vector<std::string> command,
-                 std::string *error)
+WorkerSet::spawn(u32 workers, u32 threads,
+                 std::vector<std::string> command, std::string *error)
 {
     auto fail = [&](const std::string &reason) {
         if (error)
@@ -105,8 +103,6 @@ WorkerSet::spawn(u32 workers, const std::string &cache_dir,
     threads = threadsPerWorker(workers, threads);
     command.insert(command.end(),
                    {"--threads", std::to_string(threads)});
-    if (!cache_dir.empty())
-        command.insert(command.end(), {"--cache-dir", cache_dir});
     std::vector<char *> argv;
     for (auto &arg : command)
         argv.push_back(arg.data());
@@ -173,67 +169,46 @@ WorkerSet::~WorkerSet()
 }
 
 WorkerBatch
-WorkerSet::run(const std::vector<Job> &jobs, const BatchPlan &plan)
+WorkerSet::run(const std::vector<Job> &jobs, const BatchPlan &plan,
+               std::vector<JobResult> &results)
 {
     static const telemetry::MetricId slices_id =
         telemetry::counterId("pool.slices");
     WorkerBatch out;
     const std::vector<PlanUnit> &units = plan.units;
     const u32 count = size();
-    std::hash<std::string> hash;
-    // A unit's home: the worker that answered its first job in an
-    // earlier run of this set, whose store already holds it (count:
-    // none yet).  Only that worker is dealt it; any worker may take
-    // a unit without a home.
-    std::vector<u32> home(units.size(), count);
-    for (std::size_t u = 0; u < units.size(); ++u) {
-        const auto it =
-            home_.find(hash(plan.keys[units[u].classes[0][0]]));
-        if (it != home_.end())
-            home[u] = it->second;
-    }
-    std::vector<bool> dealt(units.size(), false);
-    std::size_t left = units.size(); // units not dealt yet
-    u32 outstanding = 0; // frames sent and not yet answered
+    std::size_t next = 0; // the first unit not dealt yet
+    u32 outstanding = 0;  // frames sent and not yet answered
     // inflight[w]: the jobs of worker w's unanswered frame, in frame
     // order (empty: w is idle); reply_of[w]: its entry in
     // out.replies (SIZE_MAX: none yet).
     std::vector<std::vector<std::size_t>> inflight(count);
     std::vector<std::size_t> reply_of(count, SIZE_MAX);
     std::string io_error;
-    out.results.resize(jobs.size());
 
     auto fail = [&](u32 w, const std::string &reason) {
         if (out.error.empty())
             out.error = "worker " + std::to_string(w) + reason;
     };
 
-    // Send idle worker w its next frame: the first units in plan
-    // order it may take, up to threads_ of them but no more than an
-    // even share of what is left, so a small batch still spreads
-    // over every worker.  Sends nothing when no unit is w's to take.
+    // Send idle worker w its next frame: the next units in plan
+    // order, up to threads_ of them but no more than an even share
+    // of what is left, so a small batch still spreads over every
+    // worker.
     auto deal = [&](u32 w) {
+        const std::size_t left = units.size() - next;
         const std::size_t take = std::clamp<std::size_t>(
             (left + count - 1) / count, 1, threads_);
         std::vector<Job> frame;
         std::vector<std::size_t> &members = inflight[w];
-        std::size_t taken = 0;
-        for (std::size_t u = 0; u < units.size() && taken < take;
-             ++u) {
-            if (dealt[u] || (home[u] != count && home[u] != w))
-                continue;
-            dealt[u] = true;
-            ++taken;
+        for (std::size_t u = next; u < next + take; ++u)
             for (const auto &timing_class : units[u].classes)
                 for (const std::size_t i : timing_class) {
                     members.push_back(i);
                     frame.push_back(jobs[i]);
                 }
-        }
-        if (taken == 0)
-            return;
-        left -= taken;
-        telemetry::Span send_span("pool.send", taken);
+        next += take;
+        telemetry::Span send_span("pool.send", take);
         telemetry::add(slices_id, 1);
         if (!wire::writeFrame(workers_[w].feedFd,
                               wire::FrameType::Batch,
@@ -249,7 +224,8 @@ WorkerSet::run(const std::vector<Job> &jobs, const BatchPlan &plan)
     // idle worker its next frame.
     auto dealIdle = [&]() {
         for (u32 w = 0; w < count; ++w)
-            if (out.error.empty() && left > 0 && inflight[w].empty())
+            if (out.error.empty() && next < units.size() &&
+                inflight[w].empty())
                 deal(w);
     };
 
@@ -289,8 +265,7 @@ WorkerSet::run(const std::vector<Job> &jobs, const BatchPlan &plan)
             return;
         }
         for (std::size_t j = 0; j < members.size(); ++j)
-            out.results[members[j]] =
-                std::move(output->results[j].second);
+            results[members[j]] = std::move(output->results[j].second);
         out.simulationsPerformed += output->simulationsPerformed;
         out.analysesPerformed += output->analysesPerformed;
         if (reply_of[w] == SIZE_MAX) {
@@ -300,8 +275,6 @@ WorkerSet::run(const std::vector<Job> &jobs, const BatchPlan &plan)
         WorkerReply &reply = out.replies[reply_of[w]];
         reply.jobs += members.size();
         reply.metrics = std::move(output->metrics);
-        for (const std::size_t i : members)
-            home_[hash(plan.keys[i])] = w;
     };
 
     // One frame per worker to start, then pull: whichever worker
@@ -331,11 +304,7 @@ WorkerSet::run(const std::vector<Job> &jobs, const BatchPlan &plan)
                 collect(polled[r]);
         dealIdle();
     }
-    if (!out.error.empty()) {
-        out.results.clear();
-        return out;
-    }
-    out.ok = true;
+    out.ok = out.error.empty();
     return out;
 }
 
@@ -374,19 +343,26 @@ ProcessPool::run(const Session &session,
             return fail("job " + std::to_string(i) + ": " + *error);
     }
 
-    // The parent plans with its own registries and no store probe
-    // (the workers own the store), for every executor the pool will
-    // run: workers x threads each.
-    const BatchPlan plan = session.planBatch(
-        jobs, options_.workers * threadsPerWorker(
-                                     options_.workers,
-                                     options_.threadsPerWorker));
+    // This process owns the batch's store: the plan's probe is its
+    // one read and the commit below its one write.  Workers run
+    // store-less, so they only ever see the misses.
+    Session owner(session.engines(), session.workloads(),
+                  session.analytics());
+    if (!options_.cacheDir.empty() &&
+        !owner.attachDiskCache(options_.cacheDir)->ok())
+        return fail("cannot open cache dir: " + options_.cacheDir);
+    std::vector<JobResult> results(jobs.size());
+    // Planned for every executor the pool will run: workers x
+    // threads each.
+    const BatchPlan plan = owner.planBatch(
+        jobs,
+        options_.workers * threadsPerWorker(options_.workers,
+                                            options_.threadsPerWorker),
+        &results);
     out.stats.uniqueJobs = plan.unique.size();
 
-    // Batch-size planner: small batches skip the process pool
-    // entirely.  A fresh builtin Session with the same store the
-    // workers would attach keeps the result (and the cache file)
-    // bit-identical to the pooled path.
+    // Batch-size planner: small batches run their units in this
+    // process instead; either path commits the same records.
     const u32 min_pooled = options_.minPooledJobs == 0
                                ? defaultPoolCrossoverJobs()
                                : options_.minPooledJobs;
@@ -394,46 +370,37 @@ ProcessPool::run(const Session &session,
         static const telemetry::MetricId fallback_id =
             telemetry::counterId("pool.fallback");
         telemetry::add(fallback_id, 1);
-        Session local;
-        if (options_.cacheDir.empty())
-            local.enableCache();
-        else if (!local.attachDiskCache(options_.cacheDir)->ok())
-            return fail("cannot open cache dir: " + options_.cacheDir);
-        out.results = local.runBatch(jobs, options_.threadsPerWorker);
-        out.stats.simulationsPerformed = local.simulationsPerformed();
-        out.stats.analysesPerformed = local.analysesPerformed();
+        owner.runUnits(jobs, plan, options_.threadsPerWorker, results);
+        out.stats.simulationsPerformed = owner.simulationsPerformed();
+        out.stats.analysesPerformed = owner.analysesPerformed();
         out.stats.usedProcessPool = false;
-        out.ok = true;
-        return out;
+    } else if (!plan.units.empty()) {
+        // A worker with no unit to run would only idle: spawn at most
+        // one per unit (and none for an all-hit batch).
+        std::string error;
+        const auto workers = WorkerSet::spawn(
+            std::min<u32>(options_.workers,
+                          static_cast<u32>(plan.units.size())),
+            options_.threadsPerWorker, options_.workerCommand, &error);
+        if (!workers)
+            return fail(error);
+        out.stats.workersSpawned = workers->size();
+
+        const WorkerBatch batch = workers->run(jobs, plan, results);
+        // Fold each worker's latest snapshot into this process so a
+        // post-run metrics report covers the whole pool.  Every frame
+        // carries the worker's cumulative totals and these workers
+        // are fresh processes serving one batch, so one absorb per
+        // worker counts each of them exactly once.
+        for (const auto &reply : batch.replies)
+            telemetry::absorb(reply.metrics);
+        if (!batch.ok)
+            return fail(batch.error);
+        out.stats.simulationsPerformed = batch.simulationsPerformed;
+        out.stats.analysesPerformed = batch.analysesPerformed;
     }
-
-    // A worker with no unit to run would only idle: spawn at most one
-    // per unit.
-    std::string error;
-    const auto workers = WorkerSet::spawn(
-        std::min<u32>(options_.workers,
-                      static_cast<u32>(plan.units.size())),
-        options_.cacheDir, options_.threadsPerWorker,
-        options_.workerCommand, &error);
-    if (!workers)
-        return fail(error);
-    out.stats.workersSpawned = workers->size();
-
-    WorkerBatch batch = workers->run(jobs, plan);
-    // Fold each worker's latest snapshot into this process so a
-    // post-run metrics report covers the whole pool.  Every frame
-    // carries the worker's cumulative totals and these workers are
-    // fresh processes serving one batch, so one absorb per worker
-    // counts each of them exactly once.
-    for (const auto &reply : batch.replies)
-        telemetry::absorb(reply.metrics);
-    if (!batch.ok)
-        return fail(batch.error);
-    out.stats.simulationsPerformed = batch.simulationsPerformed;
-    out.stats.analysesPerformed = batch.analysesPerformed;
-    out.results.reserve(jobs.size());
-    for (const std::size_t source : plan.source)
-        out.results.push_back(batch.results[source]);
+    owner.commit(plan, results);
+    out.results = std::move(results);
     out.ok = true;
     return out;
 }
@@ -443,12 +410,11 @@ ProcessPool::run(const Session &session,
 int
 poolWorkerMain(const std::vector<std::string> &args)
 {
-    std::string cache_dir;
     u32 threads = 0;
 
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
-        if (arg != "--cache-dir" && arg != "--threads") {
+        if (arg != "--threads") {
             std::cerr << "pool worker: unknown option " << arg << "\n";
             return 2;
         }
@@ -457,10 +423,6 @@ poolWorkerMain(const std::vector<std::string> &args)
             return 2;
         }
         const std::string &value = args[++i];
-        if (arg == "--cache-dir") {
-            cache_dir = value;
-            continue;
-        }
         const auto parsed = parseU32(value);
         if (!parsed) {
             std::cerr << "pool worker: bad --threads value '" << value
@@ -470,14 +432,9 @@ poolWorkerMain(const std::vector<std::string> &args)
         threads = *parsed;
     }
 
-    Session session;
-    if (cache_dir.empty()) {
-        session.enableCache();
-    } else if (!session.attachDiskCache(cache_dir)->ok()) {
-        std::cerr << "pool worker: cannot open cache dir: " << cache_dir
-                  << "\n";
-        return 4;
-    }
+    // Store-less: the process that owns the batch probes and
+    // commits it, so a worker only ever sees misses.
+    const Session session;
 
     // Frames own the stdout pipe: anything else this process prints
     // to stdout goes to stderr instead of corrupting the stream.
@@ -546,23 +503,19 @@ poolWorkerMain(const std::vector<std::string> &args)
             session.simulationsPerformed() - sims0;
         output.analysesPerformed = session.analysesPerformed() - anas0;
 #ifndef VEGETA_NO_TELEMETRY
-        // Time a dry-run encode first, so the cumulative snapshot
-        // shipped in this frame covers every phase of this batch.
-        {
-            const u64 encode_start = telemetry::nowNs();
-            const std::string probe = encodeWorkerOutput(output);
-            telemetry::recordNs(encode_timer,
-                                telemetry::nowNs() - encode_start);
-        }
         output.metrics = telemetry::snapshot().metrics;
-#else
-        (void)encode_timer;
 #endif
+        // Encoded once, after the snapshot: this frame's encode time
+        // is recorded after the write, so it ships with the next one.
+        const u64 encode_start = telemetry::nowNs();
+        const std::string payload = encodeWorkerOutput(output);
+        const u64 encode_ns = telemetry::nowNs() - encode_start;
         if (!wire::writeFrame(reply_fd, wire::FrameType::Results,
-                              encodeWorkerOutput(output), &error)) {
+                              payload, &error)) {
             std::cerr << "pool worker: " << error << "\n";
             return 3;
         }
+        telemetry::recordNs(encode_timer, encode_ns);
     }
 }
 

@@ -15,28 +15,28 @@
  *   - SimServer (`serve --service-workers N`) holds one WorkerSet for
  *     its lifetime and feeds it every dispatched batch.
  *
- * The contract mirrors runBatch exactly: merged results are
- * bit-for-bit identical to a single-process run for ANY worker count
- * and any completion order.  That falls out of the design:
+ * The contract mirrors runBatch exactly: merged results -- and the
+ * result store's file -- are bit-for-bit identical to a
+ * single-process run for ANY worker count and any completion order.
+ * That falls out of the design:
  *
- *   - the batch is planned by Session::planBatch -- runBatch's own
- *     plan phase, with no store probe -- so the pool deals exactly
- *     the units runBatch would run: whole stream groups (split at
- *     timing-class boundaries only above an executor's fair share of
- *     workers x threads), largest first;
+ *   - the process that owns the batch owns its store: it plans the
+ *     batch with Session::planBatch -- runBatch's own plan phase,
+ *     whose probe is the store's one read -- and stores the misses
+ *     with Session::commit, the store's one write; workers run
+ *     store-less, as pure compute;
+ *   - the pool deals exactly the units runBatch would run: whole
+ *     stream groups (split at timing-class boundaries only above an
+ *     executor's fair share of workers x threads), largest first,
+ *     and an all-hit batch deals nothing;
  *   - the deal is pull-based: each worker is sent one `batch` frame
  *     of up to `threads` units (sim/job_io records), and whichever
  *     worker answers first is sent the next frame, so no stream is
  *     emitted twice and no timing class is replayed twice however
- *     the units land; a unit a worker of the set already answered
- *     is dealt back to that worker, whose store holds it;
+ *     the units land;
  *   - every `results` frame comes back keyed by jobKey, with doubles
  *     as raw bit patterns, and is merged by job index -- the bytes
- *     are a pure function of the batch, never of timing;
- *   - workers attach the shared --cache-dir, so a warm pool performs
- *     zero replays and a cold pool populates the cache once across
- *     all workers (the disk cache's locked first-insert-wins append
- *     keeps concurrent writers safe).
+ *     are a pure function of the batch, never of timing.
  *
  * Workers are fork/exec of a worker command -- by default this
  * process's own binary re-entering through a hidden `worker` argv
@@ -59,7 +59,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/job.hpp"
@@ -89,10 +88,6 @@ struct WorkerBatch
     /** One-line reason when !ok ("" otherwise). */
     std::string error;
 
-    /** results[i] answers jobs[i] for every i in BatchPlan::unique
-     *  (other slots are left empty); empty when !ok. */
-    std::vector<JobResult> results;
-
     /** Work the workers actually performed (summed). */
     u64 simulationsPerformed = 0;
     u64 analysesPerformed = 0;
@@ -110,13 +105,12 @@ class WorkerSet
      * Spawn @p workers workers running @p command (empty = this
      * executable plus the hidden "worker" token) with `--threads T`
      * (0 divides the machine: max(1, hardware_concurrency /
-     * workers)) and `--cache-dir` when @p cache_dir is non-empty.
-     * Null with a one-line reason on failure; anything already
-     * spawned is reaped first.
+     * workers)).  Null with a one-line reason on failure; anything
+     * already spawned is reaped first.
      */
     static std::unique_ptr<WorkerSet>
-    spawn(u32 workers, const std::string &cache_dir, u32 threads,
-          std::vector<std::string> command, std::string *error);
+    spawn(u32 workers, u32 threads, std::vector<std::string> command,
+          std::string *error);
 
     /** Closes every feed pipe (workers exit on EOF) and reaps. */
     ~WorkerSet();
@@ -131,20 +125,18 @@ class WorkerSet
 
     /**
      * Deal @p plan's units -- Session::planBatch(jobs, size() *
-     * threads()) with no probe -- over the workers and merge the
-     * `results` frames by job index.  Pull-based: each worker is
-     * sent a frame of up to threads() units (never more than an even
-     * share of what is left), and each answer read is followed by
-     * the worker's next frame until the plan runs out.  A unit whose
-     * first job a worker of this set already answered goes back to
-     * that worker only, so a long-lived set (the service) serves a
-     * repeated batch from its workers' warm stores.  At the first
-     * failure no further frame is sent, but every worker that was
-     * sent a frame has its answer read back, so each pipe stays one
-     * frame in, one frame out.  Not thread-safe: one run at a time.
+     * threads(), ...) -- over the workers and merge the `results`
+     * frames by job index into @p results (a unit's jobs only).
+     * Pull-based: each worker is sent a frame of up to threads()
+     * units (never more than an even share of what is left), and
+     * each answer read is followed by the worker's next frame until
+     * the plan runs out.  At the first failure no further frame is
+     * sent, but every worker that was sent a frame has its answer
+     * read back, so each pipe stays one frame in, one frame out.
+     * Not thread-safe: one run at a time.
      */
-    WorkerBatch run(const std::vector<Job> &jobs,
-                    const BatchPlan &plan);
+    WorkerBatch run(const std::vector<Job> &jobs, const BatchPlan &plan,
+                    std::vector<JobResult> &results);
 
   private:
     struct Worker
@@ -158,11 +150,6 @@ class WorkerSet
 
     std::vector<Worker> workers_;
     u32 threads_ = 1;
-
-    /** The worker that answered each job (by jobKey hash) in an
-     *  earlier run: its store holds the result, so a repeated unit
-     *  is dealt back to it.  Grows with the set's unique jobs. */
-    std::unordered_map<std::size_t, u32> home_;
 };
 
 /** How a ProcessPool runs one batch. */
@@ -172,8 +159,8 @@ struct PoolOptions
      *  count). */
     u32 workers = 2;
 
-    /** Shared persistent result-cache directory ("" = each worker
-     *  keeps a memory-only store). */
+    /** Persistent result-store directory, opened by run() in the
+     *  calling process ("" = no store). */
     std::string cacheDir;
 
     /**
@@ -201,10 +188,9 @@ struct PoolOptions
 
     /**
      * Batch-size planner: batches with fewer UNIQUE jobs than this
-     * run on an in-process fallback (a fresh builtin Session with
-     * the same store the workers would attach) instead of paying
-     * worker spawn and frame overhead that the committed trajectory
-     * shows losing on small batches.  0 picks the measured default
+     * run their units in-process instead of paying worker spawn and
+     * frame overhead that the committed trajectory shows losing on
+     * small batches.  0 picks the measured default
      * crossover (defaultPoolCrossoverJobs()); 1 means "always use
      * the process pool" -- what an explicit user demand for workers
      * should pass.  Either path returns bit-identical results.
@@ -223,7 +209,7 @@ struct PoolStats
     bool usedProcessPool = true;
 
     /** Core-model simulations actually performed (cache hits and
-     *  dedupe excluded) -- zero on a warm shared cache. */
+     *  dedupe excluded) -- zero on a warm store. */
     u64 simulationsPerformed = 0;
 
     /** Analytical backends actually evaluated. */
@@ -252,11 +238,13 @@ class ProcessPool
     explicit ProcessPool(PoolOptions options);
 
     /**
-     * Run @p jobs to completion across the pool.  @p session only
-     * validates and plans the batch up front; it runs nothing
-     * (workers build their own Session over the builtin registries,
-     * so jobs must not depend on names registered only in a custom
-     * parent session).
+     * Run @p jobs to completion across the pool: probe the store
+     * (options().cacheDir), deal the misses to fresh workers, and
+     * commit their results, all in this process.  The batch is
+     * planned over @p session's registries (its own store is not
+     * used); workers build a store-less Session over the builtin
+     * registries, so jobs must not depend on names registered only
+     * in a custom parent session.
      */
     PoolRun run(const Session &session,
                 const std::vector<Job> &jobs) const;
@@ -268,9 +256,10 @@ class ProcessPool
 };
 
 /**
- * The worker half: parse `[--cache-dir DIR] [--threads N]`, then on
- * a fresh builtin Session answer every `batch` frame read from stdin
- * with exactly one `results` (or `error`) frame on stdout, until EOF.
+ * The worker half: parse `[--threads N]`, then on a fresh,
+ * store-less builtin Session answer every `batch` frame read from
+ * stdin with exactly one `results` (or `error`) frame on stdout,
+ * until EOF.
  * Returns a process exit code (0 on a clean EOF); any binary that may
  * host workers routes its hidden "worker" argv token here.
  */

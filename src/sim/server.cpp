@@ -84,29 +84,6 @@ ringPercentileMs(const std::vector<u64> &ring, double p)
     return double(sorted[idx]) / 1e6;
 }
 
-/** A named counter's value inside one metric snapshot (0 absent). */
-u64
-snapshotCounter(const std::vector<telemetry::MetricRecord> &records,
-                const char *name)
-{
-    for (const auto &record : records)
-        if (record.name == name)
-            return record.count;
-    return 0;
-}
-
-/** A snapshot counter summed over per-worker metric snapshots. */
-u64
-sumWorkerCounter(
-    const std::vector<std::vector<telemetry::MetricRecord>> &workers,
-    const char *name)
-{
-    u64 total = 0;
-    for (const auto &records : workers)
-        total += snapshotCounter(records, name);
-    return total;
-}
-
 } // namespace
 
 struct SimServer::Impl
@@ -115,7 +92,9 @@ struct SimServer::Impl
 
     ServerOptions options;
 
-    Session session; ///< warm across every request (in-process mode)
+    /** Owns the store, warm across every request: it plans and
+     *  commits each batch, and runs it too in in-process mode. */
+    Session session;
 
     int listenFd = -1;
     u32 boundPort = 0;
@@ -150,8 +129,6 @@ struct SimServer::Impl
     u64 waitNext = 0;
     /** Trailing (completionNs, jobs) pairs for the recent rate. */
     std::deque<std::pair<u64, u64>> recentBatches;
-    /** Latest cumulative metric snapshot per service worker. */
-    std::vector<std::vector<telemetry::MetricRecord>> workerMetrics;
     /** Unique jobs each service worker has answered. */
     std::vector<u64> workerJobs;
 
@@ -257,29 +234,27 @@ SimServer::Impl::start(std::string *error)
         return fail("cannot create wake pipe");
     }
 
-    // Workers are exec'd, so spawning them after the socket exists
-    // is safe: every descriptor here is close-on-exec.  In worker
-    // mode the server's own session only validates batches (workers
-    // own their stores); in-process execution wants a warm store.
-    if (options.serviceWorkers > 0) {
-        workers = WorkerSet::spawn(options.serviceWorkers,
-                                   options.cacheDir, options.threads,
-                                   {}, error);
-        if (!workers) {
-            stop();
-            return false;
-        }
-    } else if (options.cacheDir.empty()) {
+    // The server's session owns the store in both modes; workers
+    // run store-less.
+    if (options.cacheDir.empty()) {
         session.enableCache();
     } else if (!session.attachDiskCache(options.cacheDir)->ok()) {
         stop();
         return fail("cannot open cache dir: " + options.cacheDir);
     }
+    // Workers are exec'd, so spawning them after the socket exists
+    // is safe: every descriptor here is close-on-exec.
+    if (options.serviceWorkers > 0) {
+        workers = WorkerSet::spawn(options.serviceWorkers,
+                                   options.threads, {}, error);
+        if (!workers) {
+            stop();
+            return false;
+        }
+    }
 
     startNs = telemetry::nowNs();
-    const u32 worker_count = workers ? workers->size() : 0;
-    workerMetrics.assign(worker_count, {});
-    workerJobs.assign(worker_count, 0);
+    workerJobs.assign(workers ? workers->size() : 0, 0);
 
     started = true;
     stopping = false;
@@ -706,32 +681,27 @@ SimServer::Impl::executeBatch(const std::vector<Job> &jobs)
 {
     ExecOutcome outcome;
 
-    // The response carries one record per unique key, in key order,
-    // and the client fans results back out to its own job order.  A
-    // worker set deals this plan; the in-process session makes its
-    // own for options.threads.
+    // Plan (the store's one read), run the misses on the workers or
+    // on this session's threads, commit (its one write).
+    std::vector<JobResult> results(jobs.size());
     const BatchPlan plan = session.planBatch(
-        jobs, workers ? workers->size() * workers->threads() : 1);
-    std::vector<JobResult> results;
+        jobs, workers ? workers->size() * workers->threads()
+                      : options.threads,
+        &results);
     if (!workers) {
         const u64 sims0 = session.simulationsPerformed();
         const u64 anas0 = session.analysesPerformed();
-        results = session.runBatch(jobs, options.threads);
+        session.runUnits(jobs, plan, options.threads, results);
         outcome.output.simulationsPerformed =
             session.simulationsPerformed() - sims0;
         outcome.output.analysesPerformed =
             session.analysesPerformed() - anas0;
-    } else {
-        WorkerBatch batch = workers->run(jobs, plan);
+    } else if (!plan.units.empty()) {
+        const WorkerBatch batch = workers->run(jobs, plan, results);
         {
-            // Each answer carries the worker's whole-process
-            // cumulative snapshot: REPLACE the latest copy (an
-            // absorb per frame would double count).
             std::lock_guard<std::mutex> lock(mutex);
-            for (auto &reply : batch.replies) {
-                workerMetrics[reply.worker] = std::move(reply.metrics);
+            for (const auto &reply : batch.replies)
                 workerJobs[reply.worker] += reply.jobs;
-            }
         }
         if (!batch.ok) {
             outcome.error = "service " + batch.error;
@@ -740,8 +710,11 @@ SimServer::Impl::executeBatch(const std::vector<Job> &jobs)
         outcome.output.simulationsPerformed =
             batch.simulationsPerformed;
         outcome.output.analysesPerformed = batch.analysesPerformed;
-        results = std::move(batch.results);
     }
+    session.commit(plan, results);
+
+    // The response carries one record per unique key, in key order,
+    // and the client fans results back out to its own job order.
     std::vector<std::size_t> order = plan.unique;
     std::sort(order.begin(), order.end(),
               [&](std::size_t a, std::size_t b) {
@@ -758,9 +731,8 @@ SimServer::Impl::executeBatch(const std::vector<Job> &jobs)
 std::string
 SimServer::Impl::statsJson()
 {
-    // Process-local cache counters (in-process mode the server's own
-    // session does the work; worker mode sums the latest per-worker
-    // snapshots instead).
+    // The server's session probes the store in both modes, so its
+    // process-local counters are the service's cache traffic.
     const telemetry::MetricsSnapshot local = telemetry::snapshot();
 
     std::ostringstream os;
@@ -771,16 +743,8 @@ SimServer::Impl::statsJson()
     const double uptime_s =
         double(now > startNs ? now - startNs : 0) / 1e9;
 
-    u64 cache_hits = 0, cache_misses = 0;
-    if (workerMetrics.empty()) {
-        cache_hits = local.counter("session.cache.hit");
-        cache_misses = local.counter("session.cache.miss");
-    } else {
-        cache_hits =
-            sumWorkerCounter(workerMetrics, "session.cache.hit");
-        cache_misses =
-            sumWorkerCounter(workerMetrics, "session.cache.miss");
-    }
+    const u64 cache_hits = local.counter("session.cache.hit");
+    const u64 cache_misses = local.counter("session.cache.miss");
     const u64 cache_total = cache_hits + cache_misses;
 
     u64 recent_jobs = 0;
@@ -827,21 +791,11 @@ SimServer::Impl::statsJson()
        << (cache_total > 0 ? double(cache_hits) / double(cache_total)
                            : 0.0)
        << "},\n";
-    os << "  \"workers\": {\"count\": " << workerMetrics.size()
+    os << "  \"workers\": {\"count\": " << workerJobs.size()
        << ", \"per_worker\": [";
-    for (std::size_t w = 0; w < workerMetrics.size(); ++w) {
-        const u64 w_hits =
-            snapshotCounter(workerMetrics[w], "session.cache.hit");
-        const u64 w_misses = snapshotCounter(workerMetrics[w],
-                                             "session.cache.miss");
-        const u64 w_total = w_hits + w_misses;
+    for (std::size_t w = 0; w < workerJobs.size(); ++w)
         os << (w ? ", " : "") << "{\"jobs\": " << workerJobs[w]
-           << ", \"cache_hits\": " << w_hits
-           << ", \"cache_misses\": " << w_misses
-           << ", \"cache_hit_rate\": "
-           << (w_total > 0 ? double(w_hits) / double(w_total) : 0.0)
            << "}";
-    }
     os << "]}\n";
     os << "}\n";
     return os.str();

@@ -62,7 +62,9 @@ struct ServerOptions
      *  (socket backpressure); must be >= 1. */
     u32 queueDepth = 4;
 
-    /** Shared persistent result-cache directory ("" = off). */
+    /** Persistent result-store directory, opened by the server's
+     *  own session ("" = a memory-only store); workers never open
+     *  it. */
     std::string cacheDir;
 
     /** Handshake/read timeout for client sockets, milliseconds. */

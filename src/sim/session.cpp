@@ -101,6 +101,42 @@ countMiss()
     telemetry::add(id, 1);
 }
 
+/** The store's key for a job: its jobKey less the kind prefix
+ *  (cacheKey or analyticalKey). */
+std::string
+storeKey(JobKind kind, const std::string &job_key)
+{
+    return job_key.substr(kind == JobKind::Analysis
+                              ? kAnalysisKeyPrefix.size()
+                              : kSimulationKeyPrefix.size());
+}
+
+/** One store lookup for a job, into @p out on a hit (counted as a
+ *  hit or a miss). */
+bool
+probeStore(const DiskResultCache &store, JobKind kind,
+           const std::string &job_key, JobResult &out)
+{
+    const std::string key = storeKey(kind, job_key);
+    bool hit = false;
+    if (kind == JobKind::Analysis) {
+        if (auto found = store.findAnalysis(key)) {
+            out.analysis = std::move(*found);
+            hit = true;
+        }
+    } else if (auto found = store.find(key)) {
+        out.simulation = std::move(*found);
+        hit = true;
+    }
+    if (!hit) {
+        countMiss();
+        return false;
+    }
+    out.kind = kind;
+    countHit();
+    return true;
+}
+
 } // namespace
 
 Session::Session()
@@ -152,31 +188,36 @@ SimulationResult
 Session::run(const SimulationRequest &request,
              cpu::Trace *trace_out) const
 {
-    if (!cache_)
-        return runUncached(request, trace_out);
+    return runOne(Job::simulate(request), trace_out).simulation;
+}
 
-    const std::string key = cacheKey(request);
+JobResult
+Session::runOne(const Job &job, cpu::Trace *trace_out) const
+{
+    std::vector<JobResult> results(1);
+    auto compute = [&]() {
+        results[0].kind = job.kind;
+        if (job.kind == JobKind::Analysis)
+            results[0].analysis = evaluate(job.analysis);
+        else
+            results[0].simulation =
+                runUncached(job.simulation, trace_out);
+    };
+    if (!cache_) {
+        telemetry::Span span("session.job");
+        compute();
+        return std::move(results[0]);
+    }
     // Callers wanting the generated trace always pay the generation
     // pass -- a store hit has no trace to hand back -- but their
     // result still warms the store for later trace-less runs.
-    if (!trace_out) {
-        if (auto hit = probeCache(key))
-            return *hit;
-    }
-    const SimulationResult result = runUncached(request, trace_out);
-    cache_->insert(key, result);
-    return result;
-}
-
-std::optional<SimulationResult>
-Session::probeCache(const std::string &key) const
-{
-    auto hit = cache_->find(key);
-    if (hit)
-        countHit();
-    else
-        countMiss();
-    return hit;
+    const std::vector<Job> jobs{job};
+    const BatchPlan plan =
+        planBatch(jobs, 1, trace_out ? nullptr : &results);
+    if (!plan.misses.empty())
+        compute();
+    commit(plan, results);
+    return std::move(results[0]);
 }
 
 SimulationResult
@@ -263,39 +304,20 @@ Session::analyzeError(const AnalyticalRequest &request) const
 AnalyticalResult
 Session::analyze(const AnalyticalRequest &request) const
 {
-    return analyze(request,
-                   cache_ ? analyticalKey(request) : std::string());
+    return runOne(Job::analyze(request), nullptr).analysis;
 }
 
 AnalyticalResult
-Session::analyze(const AnalyticalRequest &request,
-                 const std::string &key) const
+Session::evaluate(const AnalyticalRequest &request) const
 {
     const auto error = analyzeError(request);
     VEGETA_ASSERT(!error.has_value(), "bad analytical request: ",
                   error.value_or(""));
-    const AnalyticalRegistry::Backend *backend =
-        analytics_.find(request.model);
     static const telemetry::MetricId analyses_id =
         telemetry::counterId("session.analyses");
-    if (!cache_) {
-        analyses_.fetch_add(1, std::memory_order_relaxed);
-        telemetry::add(analyses_id, 1);
-        return (*backend)(*this, request);
-    }
-    // Analytical results are stored like simulation results: equal
-    // canonical keys imply bit-identical tables (backends are pure
-    // functions of the request), so a warm store skips the backend.
-    if (auto hit = cache_->findAnalysis(key)) {
-        countHit();
-        return *hit;
-    }
     analyses_.fetch_add(1, std::memory_order_relaxed);
     telemetry::add(analyses_id, 1);
-    countMiss();
-    AnalyticalResult result = (*backend)(*this, request);
-    cache_->insertAnalysis(key, result);
-    return result;
+    return (*analytics_.find(request.model))(*this, request);
 }
 
 std::optional<std::string>
@@ -314,17 +336,7 @@ Session::jobError(const Job &job) const
 JobResult
 Session::run(const Job &job) const
 {
-    // One "session.job" span per job materialized here; runBatch
-    // emits the same span while probing its simulation jobs, so a
-    // trace's span count equals the batch's unique job count.
-    telemetry::Span span("session.job");
-    JobResult result;
-    result.kind = job.kind;
-    if (job.kind == JobKind::Analysis)
-        result.analysis = analyze(job.analysis);
-    else
-        result.simulation = run(job.simulation);
-    return result;
+    return runOne(job, nullptr);
 }
 
 cpu::LaneReplayer::LaneSpec
@@ -339,7 +351,6 @@ Session::laneSpec(const SimulationRequest &request) const
 void
 Session::runStream(const std::vector<Job> &jobs,
                    const std::vector<std::vector<std::size_t>> &classes,
-                   const std::vector<std::string> &keys,
                    std::vector<JobResult> &results) const
 {
     // Per group only, never per uop.
@@ -392,20 +403,18 @@ Session::runStream(const std::vector<Job> &jobs,
                 VEGETA_ASSERT(engine->supportsOpcode(op), engine->name,
                               " cannot execute ", isa::opcodeName(op));
             }
-            SimulationResult result = fromSimResult(
+            results[i].kind = JobKind::Simulation;
+            results[i].simulation = fromSimResult(
                 sims[c], *engine, request,
                 kernelVariantName(request.kernel), executed_n,
                 stats.tileComputes);
-            if (cache_)
-                cache_->insert(keys[i], result);
-            results[i].simulation = std::move(result);
         }
     }
 }
 
 BatchPlan
 Session::planBatch(const std::vector<Job> &jobs, u32 threads,
-                   std::vector<JobResult> *hits) const
+                   std::vector<JobResult> *results) const
 {
     telemetry::Span plan_span("session.batch.plan", jobs.size());
     threads = resolveThreads(threads);
@@ -417,7 +426,6 @@ Session::planBatch(const std::vector<Job> &jobs, u32 threads,
     // produce bit-identical results, so only the first occurrence
     // runs and duplicates copy its slot afterwards.
     {
-        // Views into plan.keys, which the probes below cut down.
         std::unordered_map<std::string_view, std::size_t> first;
         first.reserve(jobs.size());
         for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -429,32 +437,23 @@ Session::planBatch(const std::vector<Job> &jobs, u32 threads,
         }
     }
 
-    // Analysis jobs run alone (their store probe happens when they
-    // run); simulation jobs probe the store here (one "session.job"
-    // span each, so a trace's span count equals the batch's unique
-    // job count) and the misses group by the uop stream they replay.
-    const bool probe = hits != nullptr;
+    // Every unique job probes the store here (one "session.job" span
+    // each, so a trace's span count equals the batch's unique job
+    // count).  A missed analysis runs alone; missed simulations group
+    // by the uop stream they replay.
     std::map<StreamKey, std::size_t> group_of;
     std::vector<StreamGroup> groups;
     for (const std::size_t i : plan.unique) {
-        std::string &key = plan.keys[i];
+        if (results) {
+            telemetry::Span span("session.job");
+            if (cache_ && probeStore(*cache_, jobs[i].kind,
+                                     plan.keys[i], (*results)[i]))
+                continue;
+        }
+        plan.misses.push_back(i);
         if (jobs[i].kind == JobKind::Analysis) {
-            if (probe && cache_)
-                key.erase(0, kAnalysisKeyPrefix.size());
             plan.units.push_back({{{i}}, 0, true});
             continue;
-        }
-        std::optional<telemetry::Span> span;
-        if (probe) {
-            span.emplace("session.job");
-            (*hits)[i].kind = JobKind::Simulation;
-            if (cache_) {
-                key.erase(0, kSimulationKeyPrefix.size());
-                if (auto hit = probeCache(key)) {
-                    (*hits)[i].simulation = std::move(*hit);
-                    continue;
-                }
-            }
         }
         const SimulationRequest &request = jobs[i].simulation;
         cpu::LaneReplayer::LaneSpec spec = laneSpec(request);
@@ -543,51 +542,73 @@ Session::runBatch(const std::vector<Job> &jobs, u32 threads) const
     // any thread count and plan, store on or off.
     const BatchPlan plan = planBatch(jobs, threads, &results);
     telemetry::add(unique_id, plan.unique.size());
+    runUnits(jobs, plan, threads, results);
+    commit(plan, results);
+    return results;
+}
 
+void
+Session::runUnits(const std::vector<Job> &jobs, const BatchPlan &plan,
+                  u32 threads, std::vector<JobResult> &results) const
+{
     auto runUnit = [&](const PlanUnit &unit) {
         if (!unit.analysis) {
-            runStream(jobs, unit.classes, plan.keys, results);
+            runStream(jobs, unit.classes, results);
             return;
         }
         const std::size_t i = unit.classes[0][0];
-        telemetry::Span span("session.job");
         results[i].kind = JobKind::Analysis;
-        results[i].analysis = analyze(jobs[i].analysis, plan.keys[i]);
+        results[i].analysis = evaluate(jobs[i].analysis);
     };
 
     const std::vector<PlanUnit> &units = plan.units;
-    const u32 workers =
-        std::min<u32>(threads, static_cast<u32>(units.size()));
+    const u32 workers = std::min<u32>(resolveThreads(threads),
+                                      static_cast<u32>(units.size()));
     if (workers <= 1) {
         for (const PlanUnit &unit : units)
             runUnit(unit);
-    } else {
-        // Work-stealing by atomic index: each worker claims the next
-        // unclaimed unit and writes into its slots, so the result
-        // vector is independent of scheduling.
-        std::atomic<std::size_t> next{0};
-        auto worker = [&]() {
-            for (;;) {
-                const std::size_t u =
-                    next.fetch_add(1, std::memory_order_relaxed);
-                if (u >= units.size())
-                    return;
-                runUnit(units[u]);
-            }
-        };
-
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (u32 t = 0; t < workers; ++t)
-            pool.emplace_back(worker);
-        for (auto &thread : pool)
-            thread.join();
+        return;
     }
+    // Work-stealing by atomic index: each worker claims the next
+    // unclaimed unit and writes into its slots, so the result vector
+    // is independent of scheduling.
+    std::atomic<std::size_t> next{0};
+    auto worker = [&]() {
+        for (;;) {
+            const std::size_t u =
+                next.fetch_add(1, std::memory_order_relaxed);
+            if (u >= units.size())
+                return;
+            runUnit(units[u]);
+        }
+    };
+    std::vector<std::thread> pool;
+    pool.reserve(workers);
+    for (u32 t = 0; t < workers; ++t)
+        pool.emplace_back(worker);
+    for (auto &thread : pool)
+        thread.join();
+}
 
-    for (std::size_t i = 0; i < jobs.size(); ++i)
+void
+Session::commit(const BatchPlan &plan,
+                std::vector<JobResult> &results) const
+{
+    if (cache_) {
+        telemetry::Span span("session.batch.commit",
+                             plan.misses.size());
+        for (const std::size_t i : plan.misses) {
+            const std::string key =
+                storeKey(results[i].kind, plan.keys[i]);
+            if (results[i].kind == JobKind::Analysis)
+                cache_->insertAnalysis(key, results[i].analysis);
+            else
+                cache_->insert(key, results[i].simulation);
+        }
+    }
+    for (std::size_t i = 0; i < results.size(); ++i)
         if (plan.source[i] != i)
             results[i] = results[plan.source[i]];
-    return results;
 }
 
 std::vector<SimulationResult>

@@ -56,9 +56,8 @@ struct PlanUnit
 /** How a job batch runs: the output of Session::planBatch. */
 struct BatchPlan
 {
-    /** keys[i]: jobs[i]'s jobKey.  When the plan probed a store, a
-     *  unique job's key is cut down to its store key (cacheKey or
-     *  analyticalKey). */
+    /** keys[i]: jobs[i]'s jobKey.  The store sees it less its kind
+     *  prefix (cacheKey or analyticalKey). */
     std::vector<std::string> keys;
 
     /** source[i]: the first job whose key equals jobs[i]'s. */
@@ -66,6 +65,10 @@ struct BatchPlan
 
     /** The first job of every key, in batch order. */
     std::vector<std::size_t> unique;
+
+    /** The unique jobs the store probe did not answer, in batch
+     *  order: the jobs the units run and the commit stores. */
+    std::vector<std::size_t> misses;
 
     /** The work left after the probe: analyses first (in batch
      *  order), then the stream chunks largest first. */
@@ -173,8 +176,10 @@ class Session
     /**
      * Run every job on a pool of @p threads workers (0 picks the
      * hardware concurrency); `results[i]` corresponds to `jobs[i]`.
-     * Jobs that repeat within the batch (equal canonical job keys)
-     * run once and fan their result out to every duplicate slot.
+     * Three phases: planBatch (with the store probe), runUnits, and
+     * commit.  Jobs that repeat within the batch (equal canonical job
+     * keys) run once and fan their result out to every duplicate
+     * slot.
      *
      * Simulation jobs that miss the store group by the uop stream
      * they replay (padded GEMM, executed N, kernel variant and
@@ -194,19 +199,38 @@ class Session
 
     /**
      * runBatch's plan phase, for @p threads executors (0 picks the
-     * hardware concurrency): dedupe by jobKey; probe the store for
-     * every unique simulation job when @p hits is non-null (a hit
-     * lands in (*hits)[i], sized like @p jobs, and needs no unit);
+     * hardware concurrency): dedupe by jobKey; when @p results is
+     * non-null (sized like @p jobs), probe the store once for every
+     * unique job -- a hit lands in (*results)[i] and needs no unit;
      * group the remaining simulation jobs by uop stream and, within
      * a stream, by timing class; split a group into near-equal
      * chunks of whole classes only while a chunk would exceed an
      * executor's fair share of the total cost; and order the units
-     * largest first.  A WorkerSet deals the same plan, made with no
-     * probe (its workers own the store), so a pool runs exactly the
-     * units runBatch would.
+     * largest first.  This probe is the store's one read.  A
+     * WorkerSet deals the same plan to store-less workers, so a pool
+     * runs exactly the units runBatch would.
      */
-    BatchPlan planBatch(const std::vector<Job> &jobs, u32 threads,
-                        std::vector<JobResult> *hits = nullptr) const;
+    BatchPlan
+    planBatch(const std::vector<Job> &jobs, u32 threads,
+              std::vector<JobResult> *results = nullptr) const;
+
+    /**
+     * runBatch's run phase: execute @p plan's units on @p threads
+     * threads (0 picks the hardware concurrency), each unit writing
+     * results[i] for its jobs.  Touches no store.
+     */
+    void runUnits(const std::vector<Job> &jobs, const BatchPlan &plan,
+                  u32 threads, std::vector<JobResult> &results) const;
+
+    /**
+     * runBatch's commit phase, the store's one write: insert every
+     * miss of @p plan under its store key, in batch order, then copy
+     * each unique job's result to its duplicates.  The store's
+     * record order is therefore a function of the batch alone, never
+     * of the executor or its timing.
+     */
+    void commit(const BatchPlan &plan,
+                std::vector<JobResult> &results) const;
 
     /** Trace-only convenience overload of runBatch. */
     std::vector<SimulationResult>
@@ -252,14 +276,14 @@ class Session
     SimulationResult runUncached(const SimulationRequest &request,
                                  cpu::Trace *trace_out) const;
 
-    /** analyze() against the store under @p key (its
-     *  analyticalKey; unused when no store is attached). */
-    AnalyticalResult analyze(const AnalyticalRequest &request,
-                             const std::string &key) const;
+    /** Evaluate an analytical backend (no store). */
+    AnalyticalResult evaluate(const AnalyticalRequest &request) const;
 
-    /** One lookup in the store (counted as a hit or a miss). */
-    std::optional<SimulationResult>
-    probeCache(const std::string &key) const;
+    /**
+     * A batch of one: probe (skipped when @p trace_out wants the
+     * trace, which a hit cannot hand back), run a miss, commit.
+     */
+    JobResult runOne(const Job &job, cpu::Trace *trace_out) const;
 
     /** The lane that replays @p request: core after coreFor, and
      *  its registered engine. */
@@ -271,14 +295,12 @@ class Session
      * all of one uop stream, each class of one lane timing) as one
      * shared-stream group: the kernel emits the stream once into a
      * LaneReplayer with a lane per class, and each member's result
-     * is built from its class's lane with its own request and
-     * published under keys[i].  results[i] is bit-identical to
-     * run(jobs[i]).
+     * is built from its class's lane with its own request.
+     * results[i] is bit-identical to run(jobs[i]).
      */
     void
     runStream(const std::vector<Job> &jobs,
               const std::vector<std::vector<std::size_t>> &classes,
-              const std::vector<std::string> &keys,
               std::vector<JobResult> &results) const;
 
     EngineRegistry engines_;

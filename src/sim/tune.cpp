@@ -137,12 +137,9 @@ Tuner::Tuner(const Session &session, TuneOptions options)
 }
 
 std::vector<TuneCandidate>
-Tuner::scoreCandidates(const TuneSpace &space,
-                       const std::vector<TunePoint> &valid,
+Tuner::scoreCandidates(const std::vector<TunePoint> &valid,
                        u64 analysis_cap, TuneReport &report) const
 {
-    (void)space;
-
     // Train the optional cost model off the persistent store once
     // per search.  Below the sample threshold the prefilter rules
     // alone.
@@ -273,9 +270,9 @@ Tuner::run(const TuneSpace &space) const
     // Stage 1: validity.  Canonical key order makes every later
     // ranking (and therefore the report bytes) independent of
     // enumeration details.
-    const u64 validity_start = telemetry::nowNs();
     std::vector<TunePoint> valid;
     {
+        telemetry::ScopedTimer timer(validity_timer);
         telemetry::Span span("tune.validity", report.rawPoints);
         for (auto &point : space.enumerate())
             if (!invalidReason(session_, space, point))
@@ -285,9 +282,6 @@ Tuner::run(const TuneSpace &space) const
                       return tunePointKey(a) < tunePointKey(b);
                   });
     }
-    const u64 validity_ns = telemetry::nowNs() - validity_start;
-    telemetry::recordNs(validity_timer, validity_ns);
-    report.validityMs = double(validity_ns) / 1e6;
     report.validPoints = valid.size();
     report.rejectedPoints = report.rawPoints - report.validPoints;
 
@@ -312,14 +306,13 @@ Tuner::run(const TuneSpace &space) const
         pool.reserve(picks.size());
         for (u32 index : picks)
             pool.push_back(valid[index]);
-        scored = scoreCandidates(space, pool, analysis_cap, report);
+        scored = scoreCandidates(pool, analysis_cap, report);
     } else {
-        scored = scoreCandidates(space, valid, analysis_cap, report);
+        scored = scoreCandidates(valid, analysis_cap, report);
     }
     analyze_span.close();
-    const u64 analyze_ns = telemetry::nowNs() - analyze_start;
-    telemetry::recordNs(analyze_timer, analyze_ns);
-    report.analyzeMs = double(analyze_ns) / 1e6;
+    telemetry::recordNs(analyze_timer,
+                        telemetry::nowNs() - analyze_start);
 
     // Stage 3: replay confirmation, strictly bounded by the budget.
     const u64 replay_start = telemetry::nowNs();
@@ -397,9 +390,8 @@ Tuner::run(const TuneSpace &space) const
     }
 
     replay_span.close();
-    const u64 replay_ns = telemetry::nowNs() - replay_start;
-    telemetry::recordNs(replay_timer, replay_ns);
-    report.replayMs = double(replay_ns) / 1e6;
+    telemetry::recordNs(replay_timer,
+                        telemetry::nowNs() - replay_start);
 
     for (auto &candidate : scored)
         if (candidate.replayed)

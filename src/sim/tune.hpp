@@ -129,16 +129,6 @@ struct TuneReport
     u64 analyzedPoints = 0; ///< analytically scored (stage 2)
     u64 replayedPoints = 0; ///< cycle-model confirmations (stage 3)
 
-    /**
-     * Wall-clock milliseconds spent per funnel stage.  Deliberately
-     * NOT serialized by writeJson/writeCsv: the rendered report is
-     * byte-identical across runs (pinned by CI), so timings live only
-     * here and on the `tune.*` telemetry timers.
-     */
-    double validityMs = 0.0;
-    double analyzeMs = 0.0;
-    double replayMs = 0.0;
-
     bool costModelUsed = false;
     u64 costModelSamples = 0; ///< harvested cache records
     double costModelRmse = 0.0;
@@ -184,8 +174,7 @@ class Tuner
 
   private:
     std::vector<TuneCandidate>
-    scoreCandidates(const TuneSpace &space,
-                    const std::vector<TunePoint> &valid,
+    scoreCandidates(const std::vector<TunePoint> &valid,
                     u64 analysis_cap, TuneReport &report) const;
 
     void replayCandidates(std::vector<TuneCandidate *> &picks) const;

@@ -5,10 +5,11 @@
  * pool deals whole stream groups (N one-thread workers replay what N
  * in-process threads do), seeded worker start delays that reorder the
  * pull-based deal never change the bytes, each worker's telemetry is
- * absorbed once however many frames it answered, a warm shared cache
- * directory makes a repeated pooled run perform zero simulations
- * across all workers, duplicate jobs fan out, and worker failures
- * surface as clean per-worker errors.
+ * absorbed once however many frames it answered, a warm cache
+ * directory (probed and filled by the pool's own process, never by
+ * its store-less workers) makes a repeated pooled run perform zero
+ * simulations and spawn no worker, duplicate jobs fan out, and
+ * worker failures surface as clean per-worker errors.
  *
  * This binary is its own pool worker: main() routes the hidden
  * "worker" argv token to poolWorkerMain before gtest ever runs,
@@ -292,12 +293,14 @@ TEST(ProcessPool, WarmSharedCacheRunsZeroSimulations)
     EXPECT_EQ(cold.stats.analysesPerformed, 2u);
 
     // Warm, with a different worker count: zero replays, zero
-    // backend evaluations, bit-identical merge.
+    // backend evaluations, bit-identical merge, and -- every job a
+    // hit in the pool's own probe -- no worker spawned.
     options.workers = 5;
     const auto warm = ProcessPool(options).run(session, jobs);
     ASSERT_TRUE(warm.ok) << warm.error;
     EXPECT_EQ(warm.stats.simulationsPerformed, 0u);
     EXPECT_EQ(warm.stats.analysesPerformed, 0u);
+    EXPECT_EQ(warm.stats.workersSpawned, 0u);
     expectIdenticalBatches(warm.results, cold.results);
 }
 
@@ -519,6 +522,8 @@ TEST(PoolWorker, RejectsBadArguments)
     EXPECT_NE(poolWorkerMain({"--frobnicate"}), 0);
     EXPECT_NE(poolWorkerMain({"--threads"}), 0);
     EXPECT_NE(poolWorkerMain({"--cache-dir"}), 0);
+    // Workers are store-less: --cache-dir is an unknown option.
+    EXPECT_NE(poolWorkerMain({"--cache-dir", "dir"}), 0);
     EXPECT_NE(poolWorkerMain({"--threads", "abc"}), 0);
 }
 

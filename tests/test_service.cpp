@@ -59,14 +59,15 @@ quickRequest(u32 k, const std::string &engine, u32 pattern)
     return request;
 }
 
-/** A small mixed batch, including an intra-batch duplicate. */
+/** A small mixed batch, including an intra-batch duplicate; @p k
+ *  sets the simulations' GEMM depth. */
 std::vector<Job>
-mixedBatch()
+mixedBatch(u32 k = 64)
 {
     std::vector<Job> jobs;
-    jobs.push_back(Job::simulate(quickRequest(64, "VEGETA-D-1-2", 4)));
-    jobs.push_back(Job::simulate(quickRequest(64, "VEGETA-S-1-2", 2)));
-    jobs.push_back(Job::simulate(quickRequest(64, "VEGETA-D-1-2", 4)));
+    jobs.push_back(Job::simulate(quickRequest(k, "VEGETA-D-1-2", 4)));
+    jobs.push_back(Job::simulate(quickRequest(k, "VEGETA-S-1-2", 2)));
+    jobs.push_back(Job::simulate(quickRequest(k, "VEGETA-D-1-2", 4)));
     AnalyticalRequest analysis;
     analysis.model = "fig3-roofline";
     jobs.push_back(Job::analyze(std::move(analysis)));
@@ -233,6 +234,113 @@ TEST(Service, WorkerModeWithoutCacheDirSkipsWarmRepeats)
     server.stop();
 }
 
+TEST(Service, WarmJobOnTheOtherWorkerIsNotResimulated)
+{
+    // The server's store holds every answer, whichever worker ran it.
+    // Batch 1 deals the larger stream to worker 0 and job X to worker
+    // 1.  Batch 2 puts X second among four timing classes of one
+    // stream, so the plan cuts it into [Y1, X] and [Y2, Y3], and
+    // worker 0 pulls the chunk led by the new job Y1.  Only the three
+    // new jobs may simulate.
+    const std::string dir = freshSocketDir("otherworker");
+    ServerOptions options;
+    options.socketPath = dir + "/sim.sock";
+    options.serviceWorkers = 2;
+    options.threads = 1;
+    SimServer server(options);
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+
+    ClientOptions client_options;
+    client_options.address = options.socketPath;
+    SimClient client(client_options);
+    ASSERT_TRUE(client.connect(&error)) << error;
+    const Job x = Job::simulate(quickRequest(128, "VEGETA-D-1-2", 4));
+    const auto cold = client.runBatch(
+        {Job::simulate(quickRequest(512, "VEGETA-D-1-2", 4)), x},
+        &error);
+    ASSERT_TRUE(cold.has_value()) << error;
+    EXPECT_EQ(cold->simulationsPerformed, 2u);
+
+    const std::vector<Job> jobs = {
+        Job::simulate(quickRequest(128, "VEGETA-D-1-1", 4)), x,
+        Job::simulate(quickRequest(128, "VEGETA-D-16-1", 4)),
+        Job::simulate(quickRequest(128, "VEGETA-S-16-2", 4))};
+    const auto warm = client.runBatch(jobs, &error);
+    ASSERT_TRUE(warm.has_value()) << error;
+    EXPECT_EQ(warm->simulationsPerformed, 3u);
+    expectIdenticalBatches(warm->results, Session().runBatch(jobs, 1));
+    server.stop();
+}
+
+/** The bytes of @p dir's store file ("" when there is none). */
+std::string
+storeBytes(const std::string &dir)
+{
+    std::ifstream in(fs::path(dir) / "results.vgc", std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+}
+
+TEST(StoreOwner, ColdCacheFileIsIdenticalOnEveryExecutor)
+{
+    // The process that owns a batch commits its misses in batch
+    // order, so a cold batch writes the same store file whatever
+    // runs it: runBatch at any thread count, a process pool, or a
+    // service with workers.
+    const Session local;
+    std::vector<std::string> workloads;
+    for (const auto &workload : local.workloads().group("quick"))
+        workloads.push_back(workload.name);
+    std::vector<Job> jobs = mixedBatch();
+    for (auto &request : figure13Grid(local, workloads,
+                                      local.engines().names()))
+        jobs.push_back(Job::simulate(std::move(request)));
+    const std::string root = freshSocketDir("storefile");
+
+    std::vector<std::pair<std::string, std::string>> files;
+    for (const u32 threads : {1u, 3u, 8u}) {
+        const std::string dir = root + "/t" + std::to_string(threads);
+        Session session;
+        ASSERT_TRUE(session.attachDiskCache(dir)->ok());
+        session.runBatch(jobs, threads);
+        files.emplace_back("threads " + std::to_string(threads),
+                           storeBytes(dir));
+    }
+    {
+        PoolOptions options;
+        options.workers = 2;
+        options.threadsPerWorker = 1;
+        options.minPooledJobs = 1;
+        options.cacheDir = root + "/pool";
+        const auto pooled = ProcessPool(options).run(local, jobs);
+        ASSERT_TRUE(pooled.ok) << pooled.error;
+        EXPECT_EQ(pooled.stats.workersSpawned, 2u);
+        files.emplace_back("pool", storeBytes(options.cacheDir));
+    }
+    {
+        ServerOptions options;
+        options.socketPath = root + "/sim.sock";
+        options.serviceWorkers = 2;
+        options.threads = 1;
+        options.cacheDir = root + "/service";
+        SimServer server(options);
+        std::string error;
+        ASSERT_TRUE(server.start(&error)) << error;
+        ClientOptions client_options;
+        client_options.address = options.socketPath;
+        SimClient client(client_options);
+        ASSERT_TRUE(client.connect(&error)) << error;
+        ASSERT_TRUE(client.runBatch(jobs, &error).has_value()) << error;
+        server.stop();
+        files.emplace_back("service", storeBytes(options.cacheDir));
+    }
+    ASSERT_FALSE(files.front().second.empty());
+    for (const auto &[name, bytes] : files)
+        EXPECT_TRUE(bytes == files.front().second)
+            << name << " wrote a different store file";
+}
+
 TEST(Service, BatchIdenticalToLocalWithTracingEnabled)
 {
     // Byte-identity must survive armed span recording (--trace-out):
@@ -356,7 +464,10 @@ TEST(Service, FailedBatchIsCountedApartFromServed)
 
     ASSERT_EQ(::kill(workers[1], SIGKILL), 0);
     ASSERT_TRUE(waitUntilDead(workers[1]));
-    EXPECT_FALSE(client.runBatch(jobs, &error).has_value());
+    // New simulation keys: the store misses them, so the batch is
+    // dealt over both workers (a repeat would be answered from the
+    // server's store without reaching a worker).
+    EXPECT_FALSE(client.runBatch(mixedBatch(96), &error).has_value());
 
     const auto stats = fixture.server->stats();
     EXPECT_EQ(stats.batches, 1u);
