@@ -15,37 +15,22 @@ namespace vegeta::sim {
 
 namespace {
 
-// Entries stored by insert()/insertAnalysis().  Lookups are counted
-// by their one caller, the Session (session.cache.hit/miss).
+// Records stored by insert().  Lookups are counted by their one
+// caller, the Session (session.cache.hit/miss).
 void
-countCacheInsert()
+countCacheInserts(u64 records)
 {
     static const telemetry::MetricId id =
         telemetry::counterId("cache.insert");
-    telemetry::add(id, 1);
+    telemetry::add(id, records);
 }
 
-/** Record type tags, the first field of every v2 line. */
-constexpr const char *kSimTag = "S";
-constexpr const char *kAnaTag = "A";
-
-/** One simulation record as a line: tag, key, result, checksum. */
+/** One store record as a line: tag, cut key, result, checksum. */
 std::string
-formatSimRecord(const std::string &key, const SimulationResult &r)
+recordLine(const std::string &job_key, const JobResult &result)
 {
     serial::FieldWriter writer;
-    writer.raw(kSimTag).str(key);
-    serial::appendSimulationResult(writer, r);
-    return writer.line();
-}
-
-/** One analytical record as a line: tag, key, result, checksum. */
-std::string
-formatAnaRecord(const std::string &key, const AnalyticalResult &r)
-{
-    serial::FieldWriter writer;
-    writer.raw(kAnaTag).str(key);
-    serial::appendAnalyticalResult(writer, r);
+    serial::appendJobResult(writer, result, &job_key);
     return writer.line();
 }
 
@@ -207,45 +192,25 @@ DiskResultCache::load()
             continue;    // error -- the entry just re-simulates
         }
         serial::FieldReader reader(std::move(*fields));
-        const std::string tag = reader.raw();
-        const std::string key = reader.str();
-        if (!reader.ok() || key.empty()) {
+        std::string key;
+        JobResult result;
+        if (!serial::readJobResult(reader, &result, &key) ||
+            !reader.done()) {
             ++rejected_;
             continue;
         }
-        if (tag == kSimTag) {
-            SimulationResult result;
-            if (!serial::readSimulationResult(reader, &result) ||
-                !reader.done()) {
-                ++rejected_;
-                continue;
-            }
-            if (entries_.emplace(key, std::move(result)).second) {
-                order_.emplace_back(RecordKind::Simulation, key);
-                ++loaded_;
-            }
-        } else if (tag == kAnaTag) {
-            AnalyticalResult result;
-            if (!serial::readAnalyticalResult(reader, &result) ||
-                !reader.done()) {
-                ++rejected_;
-                continue;
-            }
-            if (analyses_.emplace(key, std::move(result)).second) {
-                order_.emplace_back(RecordKind::Analysis, key);
-                ++loaded_;
-            }
-        } else {
-            ++rejected_;
+        if (entries_.try_emplace(key, std::move(result)).second) {
+            order_.push_back(std::move(key));
+            ++loaded_;
         }
     }
 }
 
-std::optional<SimulationResult>
-DiskResultCache::find(const std::string &key) const
+std::optional<JobResult>
+DiskResultCache::find(const std::string &job_key) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = entries_.find(key);
+    const auto it = entries_.find(job_key);
     if (it == entries_.end()) {
         ++misses_;
         return std::nullopt;
@@ -254,62 +219,35 @@ DiskResultCache::find(const std::string &key) const
     return it->second;
 }
 
-void
-DiskResultCache::insert(const std::string &key,
-                        const SimulationResult &result)
+u64
+DiskResultCache::insert(JobRecords records)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!entries_.emplace(key, result).second)
-        return;
-    order_.emplace_back(RecordKind::Simulation, key);
-    ++insertions_;
-    countCacheInsert();
+    u64 added = 0;
+    std::string appended;
+    for (auto &[key, result] : records) {
+        const auto [it, inserted] =
+            entries_.try_emplace(std::move(key), std::move(result));
+        if (!inserted)
+            continue;
+        order_.push_back(it->first);
+        ++added;
+        if (persistent() && !needs_rewrite_) {
+            appended += recordLine(it->first, it->second);
+            appended += '\n';
+        }
+    }
+    if (added == 0)
+        return 0;
+    insertions_ += added;
+    countCacheInserts(added);
     if (needs_rewrite_) {
         if (rewriteLocked())
             needs_rewrite_ = false;
     } else {
-        appendRecordLocked(formatSimRecord(key, result));
+        appendLocked(appended);
     }
-}
-
-std::optional<AnalyticalResult>
-DiskResultCache::findAnalysis(const std::string &key) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = analyses_.find(key);
-    if (it == analyses_.end()) {
-        ++misses_;
-        return std::nullopt;
-    }
-    ++hits_;
-    return it->second;
-}
-
-void
-DiskResultCache::insertAnalysis(const std::string &key,
-                                const AnalyticalResult &result)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!analyses_.emplace(key, result).second)
-        return;
-    order_.emplace_back(RecordKind::Analysis, key);
-    ++insertions_;
-    countCacheInsert();
-    if (needs_rewrite_) {
-        if (rewriteLocked())
-            needs_rewrite_ = false;
-    } else {
-        appendRecordLocked(formatAnaRecord(key, result));
-    }
-}
-
-std::string
-DiskResultCache::formatEntryLocked(RecordKind kind,
-                                   const std::string &key) const
-{
-    if (kind == RecordKind::Simulation)
-        return formatSimRecord(key, entries_.at(key));
-    return formatAnaRecord(key, analyses_.at(key));
+    return added;
 }
 
 bool
@@ -319,8 +257,8 @@ DiskResultCache::rewriteLocked()
         return true;
     std::string text = formatHeader();
     text += '\n';
-    for (const auto &[kind, key] : order_) {
-        text += formatEntryLocked(kind, key);
+    for (const auto &key : order_) {
+        text += recordLine(key, entries_.at(key));
         text += '\n';
     }
     LockedFile file(file_);
@@ -328,7 +266,7 @@ DiskResultCache::rewriteLocked()
 }
 
 bool
-DiskResultCache::appendRecordLocked(const std::string &record)
+DiskResultCache::appendLocked(const std::string &records)
 {
     if (!persistent())
         return true;
@@ -338,19 +276,17 @@ DiskResultCache::appendRecordLocked(const std::string &record)
     // The header check happens under the lock, so of N concurrent
     // writer processes racing to create the file exactly one writes
     // the header.
-    std::string text;
-    if (file.size() == 0)
-        text = std::string(formatHeader()) + '\n';
-    text += record;
-    text += '\n';
-    return file.append(text);
+    if (file.size() == 0 &&
+        !file.append(std::string(formatHeader()) + '\n'))
+        return false;
+    return file.append(records);
 }
 
 std::size_t
 DiskResultCache::size() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return entries_.size() + analyses_.size();
+    return entries_.size();
 }
 
 std::vector<std::pair<std::string, SimulationResult>>
@@ -362,12 +298,11 @@ DiskResultCache::simulationEntries() const
     // Walk the append order, not the hash map: the harvest must be
     // deterministic for a given cache file so cost-model training
     // (and therefore tuner ranking) is reproducible.
-    for (const auto &[kind, key] : order_) {
-        if (kind != RecordKind::Simulation)
-            continue;
-        const auto it = entries_.find(key);
-        if (it != entries_.end())
-            out.emplace_back(key, it->second);
+    for (const auto &key : order_) {
+        const JobResult &result = entries_.at(key);
+        if (result.kind == JobKind::Simulation)
+            out.emplace_back(key.substr(kSimulationKeyPrefix.size()),
+                             result.simulation);
     }
     return out;
 }
@@ -377,7 +312,6 @@ DiskResultCache::clear()
 {
     std::lock_guard<std::mutex> lock(mutex_);
     entries_.clear();
-    analyses_.clear();
     order_.clear();
     // If truncation fails the stale file still holds every record:
     // keep the rewrite pending so the next insert retries it rather
@@ -400,9 +334,10 @@ DiskResultCache::prune(std::optional<u64> max_bytes,
     u64 bytes = header_bytes;
     std::size_t keep_from = order_.size();
     while (keep_from > 0) {
-        const auto &[kind, key] = order_[keep_from - 1];
+        const std::string &key = order_[keep_from - 1];
         const u64 record_bytes =
-            static_cast<u64>(formatEntryLocked(kind, key).size()) + 1;
+            static_cast<u64>(recordLine(key, entries_.at(key)).size()) +
+            1;
         const u64 kept_count = order_.size() - keep_from + 1;
         if (max_entries && kept_count > *max_entries)
             break;
@@ -414,13 +349,8 @@ DiskResultCache::prune(std::optional<u64> max_bytes,
 
     pruned.dropped = keep_from;
     pruned.kept = order_.size() - keep_from;
-    for (std::size_t i = 0; i < keep_from; ++i) {
-        const auto &[kind, key] = order_[i];
-        if (kind == RecordKind::Simulation)
-            entries_.erase(key);
-        else
-            analyses_.erase(key);
-    }
+    for (std::size_t i = 0; i < keep_from; ++i)
+        entries_.erase(order_[i]);
     order_.erase(order_.begin(),
                  order_.begin() +
                      static_cast<std::ptrdiff_t>(keep_from));
@@ -441,60 +371,20 @@ DiskResultCache::prune(std::optional<u64> max_bytes,
 DiskCacheMerge
 DiskResultCache::mergeFrom(const DiskResultCache &source)
 {
-    // Snapshot the source under ITS lock, then merge under ours --
+    // Snapshot the source under ITS lock, then insert under ours --
     // the two locks are never held together, so two caches merging
     // from each other cannot deadlock.
-    std::vector<std::pair<RecordKind, std::string>> src_order;
-    std::unordered_map<std::string, SimulationResult> src_entries;
-    std::unordered_map<std::string, AnalyticalResult> src_analyses;
+    JobRecords records;
     {
         std::lock_guard<std::mutex> lock(source.mutex_);
-        src_order = source.order_;
-        src_entries = source.entries_;
-        src_analyses = source.analyses_;
+        records.reserve(source.order_.size());
+        for (const auto &key : source.order_)
+            records.emplace_back(key, source.entries_.at(key));
     }
-
-    std::lock_guard<std::mutex> lock(mutex_);
+    const u64 offered = records.size();
     DiskCacheMerge merge;
-    std::string appended;
-    for (const auto &[kind, key] : src_order) {
-        bool inserted = false;
-        if (kind == RecordKind::Simulation) {
-            const auto it = src_entries.find(key);
-            if (it == src_entries.end())
-                continue;
-            inserted = entries_.emplace(key, it->second).second;
-        } else {
-            const auto it = src_analyses.find(key);
-            if (it == src_analyses.end())
-                continue;
-            inserted = analyses_.emplace(key, it->second).second;
-        }
-        if (!inserted) {
-            ++merge.skipped;
-            continue;
-        }
-        order_.emplace_back(kind, key);
-        ++merge.added;
-        ++insertions_;
-        appended += formatEntryLocked(kind, key);
-        appended += '\n';
-    }
-    if (merge.added == 0 || !persistent())
-        return merge;
-    if (needs_rewrite_) {
-        if (rewriteLocked())
-            needs_rewrite_ = false;
-        return merge;
-    }
-    LockedFile file(file_);
-    if (file.ok()) {
-        std::string text;
-        if (file.size() == 0)
-            text = std::string(formatHeader()) + '\n';
-        text += appended;
-        file.append(text);
-    }
+    merge.added = insert(std::move(records));
+    merge.skipped = offered - merge.added;
     return merge;
 }
 
@@ -519,8 +409,12 @@ DiskResultCache::stats() const
     stats.loaded = loaded_;
     stats.rejected = rejected_;
     stats.versionMismatch = version_mismatch_;
-    stats.simulationEntries = entries_.size();
-    stats.analysisEntries = analyses_.size();
+    for (const auto &entry : entries_) {
+        if (entry.second.kind == JobKind::Analysis)
+            ++stats.analysisEntries;
+        else
+            ++stats.simulationEntries;
+    }
     stats.fileBytes = fileBytesLocked();
     stats.lastPruneBytes = last_prune_bytes_;
     return stats;

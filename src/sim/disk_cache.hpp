@@ -2,21 +2,23 @@
  * @file
  * The session's one result store.
  *
- * Simulation and analysis are pure functions of their requests, so
- * one memoized result per canonical key is the only cache the model
- * needs: the Figure 13 grid, its geomean summaries and the tuner all
- * resolve to the same keys.  A DiskResultCache holds simulation
- * results keyed by the canonical cacheKey serialization and
- * analytical results keyed by analyticalKey (both in sim/job.hpp).
+ * Simulation and analysis are pure functions of their jobs, so one
+ * memoized JobResult per canonical job key is the only cache the
+ * model needs: the Figure 13 grid, its geomean summaries, the
+ * analytical figures and the tuner all resolve to the same keys.  A
+ * DiskResultCache maps a jobKey (sim/job.hpp: "sim|" + cacheKey or
+ * "ana|" + analyticalKey) to its JobResult -- the keys a batch plan
+ * already holds, so a probe is one find and a commit one insert.
  * Equal keys imply bit-identical results, so consulting the store
  * never changes an answer -- only how often the model actually runs.
  *
  * The store has two modes.  Built without a directory it is a
  * memory-only map that never touches the file system and dies with
  * the process.  Built with one it also persists every entry as a
- * type-tagged record (one per line) in a version-headed text file
- * under that directory, so a warm sweep in a later process replays
- * nothing.
+ * kind-tagged record (one per line: tag, the key less its kind
+ * prefix, the result, a checksum; sim/serial.hpp) in a
+ * version-headed text file under that directory, so a warm sweep in
+ * a later process replays nothing.
  *
  * The load path is corruption-tolerant by construction: a missing
  * file is an empty cache, a version-mismatched header (including a v1
@@ -29,15 +31,16 @@
  * identical to freshly computed ones.
  *
  * Within one batch the store is read once (the plan's probe) and
- * written once (the commit, in batch order), both by the process
- * that owns the batch; pool and service workers never touch it.
- * Appends still take an exclusive flock() on the backing file, so
- * separate processes that open one directory interleave whole
- * records, never torn ones; combined with first-insert-wins load
- * semantics, such writers are safe by construction.  The append-only
- * file can be bounded with prune(): keep the most-recently-appended
- * entries under a byte and/or entry budget and compact the file in
- * place.
+ * written once (the commit: one insert of every miss, in batch
+ * order, persisted as one locked append), both by the process that
+ * owns the batch; pool and service workers never touch it.  mergeFrom
+ * writes through the same insert.  Appends take an exclusive flock()
+ * on the backing file, so separate processes that open one directory
+ * interleave whole records, never torn ones; combined with
+ * first-insert-wins load semantics, such writers are safe by
+ * construction.  The append-only file can be bounded with prune():
+ * keep the most-recently-appended entries under a byte and/or entry
+ * budget and compact the file in place.
  */
 
 #ifndef VEGETA_SIM_DISK_CACHE_HPP
@@ -49,17 +52,16 @@
 #include <unordered_map>
 #include <vector>
 
-#include "sim/analytical.hpp"
-#include "sim/result.hpp"
+#include "sim/job.hpp"
 
 namespace vegeta::sim {
 
 /** Traffic and load-time health counters of a DiskResultCache. */
 struct DiskCacheStats
 {
-    u64 hits = 0;   ///< simulation + analysis hits
-    u64 misses = 0; ///< simulation + analysis misses
-    u64 insertions = 0; ///< records appended by this process
+    u64 hits = 0;       ///< find() hits
+    u64 misses = 0;     ///< find() misses
+    u64 insertions = 0; ///< records stored by this process
     u64 loaded = 0;     ///< valid records read from disk on open
     u64 rejected = 0;   ///< corrupt/truncated records skipped on open
     bool versionMismatch = false; ///< whole file ignored on open
@@ -98,12 +100,12 @@ struct DiskCacheMerge
 };
 
 /**
- * Thread-safe map from canonical request keys to results, optionally
- * backed by `<directory>/results.vgc`.  A persistent store reads the
- * file once on construction and appends to it on insert, so a later
- * session pointed at the same directory shares its results.  First
- * insert wins: equal keys imply equal results, so a later insert
- * under a held key is a no-op.
+ * Thread-safe map from jobKeys to JobResults, optionally backed by
+ * `<directory>/results.vgc`.  A persistent store reads the file once
+ * on construction and appends to it on insert, so a later session
+ * pointed at the same directory shares its results.  First insert
+ * wins: equal keys imply equal results, so a later insert under a
+ * held key is a no-op.
  */
 class DiskResultCache
 {
@@ -131,21 +133,19 @@ class DiskResultCache
     /** Full path of the backing file ("" for a memory-only store). */
     const std::string &filePath() const { return file_; }
 
-    /** The cached result for key, or nullopt (counts a hit/miss). */
-    std::optional<SimulationResult> find(const std::string &key) const;
+    /** The result stored under @p job_key, or nullopt (counts a
+     *  hit or a miss). */
+    std::optional<JobResult> find(const std::string &job_key) const;
 
-    /** Store a result under key (first insert wins; a persistent
-     *  store also appends it to the file, flushed). */
-    void insert(const std::string &key,
-                const SimulationResult &result);
-
-    /** The cached analytical result for key, or nullopt. */
-    std::optional<AnalyticalResult>
-    findAnalysis(const std::string &key) const;
-
-    /** Store an analytical result (first insert wins, flushed). */
-    void insertAnalysis(const std::string &key,
-                        const AnalyticalResult &result);
+    /**
+     * Store every record whose key the store does not hold yet, in
+     * order; first insert wins, also for a key repeated within
+     * @p records.  Each key must be its result's jobKey (kind prefix
+     * included).  A persistent store writes the new records with one
+     * locked append (one rewrite while a rewrite is pending).
+     * Returns how many records were new.
+     */
+    u64 insert(JobRecords records);
 
     /** Total cached entries (simulation + analysis). */
     std::size_t size() const;
@@ -171,11 +171,10 @@ class DiskResultCache
                          std::optional<u64> max_entries);
 
     /**
-     * Union another cache into this one, first-insert-wins: every
-     * entry of @p source whose key this cache does not hold yet is
-     * appended (in the source's append order); keys already present
+     * Union another cache into this one: insert() of every entry of
+     * @p source, in the source's append order.  Keys already present
      * keep THIS cache's result, exactly like a concurrent writer
-     * losing the insert race.  Persisted with one locked append.
+     * losing the insert race.
      */
     DiskCacheMerge mergeFrom(const DiskResultCache &source);
 
@@ -185,19 +184,11 @@ class DiskResultCache
     static const char *formatHeader();
 
   private:
-    enum class RecordKind
-    {
-        Simulation,
-        Analysis,
-    };
-
     void load();
     void loadLastPrune();
     void saveLastPruneLocked(u64 reclaimed);
     bool rewriteLocked();
-    bool appendRecordLocked(const std::string &record);
-    std::string formatEntryLocked(RecordKind kind,
-                                  const std::string &key) const;
+    bool appendLocked(const std::string &records);
     u64 fileBytesLocked() const;
 
     std::string directory_;
@@ -207,11 +198,11 @@ class DiskResultCache
     bool needs_rewrite_ = false;
 
     mutable std::mutex mutex_;
-    std::unordered_map<std::string, SimulationResult> entries_;
-    std::unordered_map<std::string, AnalyticalResult> analyses_;
+    std::unordered_map<std::string, JobResult> entries_;
 
-    /** Append order (oldest first) -- what prune() evicts from. */
-    std::vector<std::pair<RecordKind, std::string>> order_;
+    /** Keys in append order (oldest first) -- what prune() evicts
+     *  from. */
+    std::vector<std::string> order_;
 
     mutable u64 hits_ = 0;
     mutable u64 misses_ = 0;

@@ -25,6 +25,8 @@
 #define VEGETA_SIM_JOB_HPP
 
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "sim/analytical.hpp"
 #include "sim/registry.hpp"
@@ -101,6 +103,10 @@ struct JobResult
     /** Valid when kind == Analysis. */
     AnalyticalResult analysis;
 };
+
+/** (jobKey, result) records: a worker's output and what the result
+ *  store inserts. */
+using JobRecords = std::vector<std::pair<std::string, JobResult>>;
 
 /**
  * Fluent, validating builder for both job kinds.  Calling model()

@@ -12,10 +12,6 @@ namespace {
 using serial::FieldReader;
 using serial::FieldWriter;
 
-/** Record kind tags, the first field of job and result records. */
-constexpr const char *kSimTag = "S";
-constexpr const char *kAnaTag = "A";
-
 /**
  * First field of a worker-telemetry record in a v2 worker output.
  * Result records start with a canonical job key, and every job key
@@ -180,51 +176,19 @@ readAnalyticalRequest(FieldReader &reader, AnalyticalRequest *request)
     return reader.ok();
 }
 
-void
-appendJobResult(FieldWriter &writer, const JobResult &result)
-{
-    if (result.kind == JobKind::Analysis) {
-        writer.raw(kAnaTag);
-        serial::appendAnalyticalResult(writer, result.analysis);
-    } else {
-        writer.raw(kSimTag);
-        serial::appendSimulationResult(writer, result.simulation);
-    }
-}
-
-bool
-readJobResult(FieldReader &reader, JobResult *result)
-{
-    const std::string kind = reader.raw();
-    if (kind == kAnaTag) {
-        result->kind = JobKind::Analysis;
-        return serial::readAnalyticalResult(reader, &result->analysis);
-    }
-    if (kind == kSimTag) {
-        result->kind = JobKind::Simulation;
-        return serial::readSimulationResult(reader,
-                                            &result->simulation);
-    }
-    return false;
-}
-
-/** The one kind-tag dispatch for job records (parse + decode). */
+/** Parse and decode one job record. */
 bool
 readJob(FieldReader &reader, Job *job)
 {
-    const std::string kind = reader.raw();
-    if (kind == kAnaTag) {
-        job->kind = JobKind::Analysis;
-        if (!readAnalyticalRequest(reader, &job->analysis))
-            return false;
-    } else if (kind == kSimTag) {
-        job->kind = JobKind::Simulation;
-        if (!readSimulationRequest(reader, &job->simulation))
-            return false;
-    } else {
+    const auto kind = serial::parseKindTag(reader.raw());
+    if (!kind)
         return false;
-    }
-    return reader.done();
+    job->kind = *kind;
+    const bool ok =
+        *kind == JobKind::Analysis
+            ? readAnalyticalRequest(reader, &job->analysis)
+            : readSimulationRequest(reader, &job->simulation);
+    return ok && reader.done();
 }
 
 /** A checksummed "end <count> ..." footer line. */
@@ -315,13 +279,11 @@ std::string
 serializeJob(const Job &job)
 {
     FieldWriter writer;
-    if (job.kind == JobKind::Analysis) {
-        writer.raw(kAnaTag);
+    writer.raw(serial::kindTag(job.kind));
+    if (job.kind == JobKind::Analysis)
         appendAnalyticalRequest(writer, job.analysis);
-    } else {
-        writer.raw(kSimTag);
+    else
         appendSimulationRequest(writer, job.simulation);
-    }
     return writer.line();
 }
 
@@ -380,7 +342,7 @@ encodeWorkerOutput(const WorkerOutput &output)
     for (const auto &[key, result] : output.results) {
         FieldWriter writer;
         writer.str(key);
-        appendJobResult(writer, result);
+        serial::appendJobResult(writer, result);
         text += writer.line();
         text += '\n';
     }
@@ -420,7 +382,8 @@ decodeWorkerOutput(const std::string &text, std::string *error)
             if (!serial::unescape(first, &key))
                 return false;
             JobResult result;
-            if (!readJobResult(reader, &result) || !reader.done())
+            if (!serial::readJobResult(reader, &result) ||
+                !reader.done())
                 return false;
             output.results.emplace_back(key, std::move(result));
             return true;

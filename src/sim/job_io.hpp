@@ -61,7 +61,7 @@ decodeJobBatch(const std::string &text, std::string *error);
 struct WorkerOutput
 {
     /** Canonical job key -> result, in batch order. */
-    std::vector<std::pair<std::string, JobResult>> results;
+    JobRecords results;
 
     /** Core-model simulations the worker actually performed. */
     u64 simulationsPerformed = 0;

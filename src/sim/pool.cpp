@@ -490,15 +490,17 @@ poolWorkerMain(const std::vector<std::string> &args)
         const u64 sims0 = session.simulationsPerformed();
         const u64 anas0 = session.analysesPerformed();
         const u64 replay_start = telemetry::nowNs();
-        const auto results = session.runBatch(*jobs, threads);
+        // The plan keyed every job once; its keys go back as-is.
+        std::vector<std::string> keys;
+        auto results = session.runBatch(*jobs, threads, &keys);
         telemetry::recordNs(replay_timer,
                             telemetry::nowNs() - replay_start);
 
         WorkerOutput output;
         output.results.reserve(results.size());
         for (std::size_t i = 0; i < results.size(); ++i)
-            output.results.emplace_back(jobKey((*jobs)[i]),
-                                        results[i]);
+            output.results.emplace_back(std::move(keys[i]),
+                                        std::move(results[i]));
         output.simulationsPerformed =
             session.simulationsPerformed() - sims0;
         output.analysesPerformed = session.analysesPerformed() - anas0;

@@ -3,6 +3,8 @@
 #include <bit>
 #include <cstdio>
 
+#include "common/logging.hpp"
+
 namespace vegeta::sim::serial {
 
 u64
@@ -381,6 +383,70 @@ readAnalyticalResult(FieldReader &reader, AnalyticalResult *result)
     for (u64 n = 0; n < notes; ++n)
         result->notes.push_back(reader.str());
     return reader.ok();
+}
+
+namespace {
+
+/** The jobKey prefix of @p kind. */
+std::string_view
+keyPrefix(JobKind kind)
+{
+    return kind == JobKind::Analysis ? kAnalysisKeyPrefix
+                                     : kSimulationKeyPrefix;
+}
+
+} // namespace
+
+const char *
+kindTag(JobKind kind)
+{
+    return kind == JobKind::Analysis ? "A" : "S";
+}
+
+std::optional<JobKind>
+parseKindTag(const std::string &tag)
+{
+    for (const JobKind kind :
+         {JobKind::Simulation, JobKind::Analysis})
+        if (tag == kindTag(kind))
+            return kind;
+    return std::nullopt;
+}
+
+void
+appendJobResult(FieldWriter &writer, const JobResult &result,
+                const std::string *job_key)
+{
+    writer.raw(kindTag(result.kind));
+    if (job_key) {
+        const std::string_view prefix = keyPrefix(result.kind);
+        VEGETA_ASSERT(job_key->starts_with(prefix),
+                      "key of another job kind: ", *job_key);
+        writer.str(job_key->substr(prefix.size()));
+    }
+    if (result.kind == JobKind::Analysis)
+        appendAnalyticalResult(writer, result.analysis);
+    else
+        appendSimulationResult(writer, result.simulation);
+}
+
+bool
+readJobResult(FieldReader &reader, JobResult *result,
+              std::string *job_key)
+{
+    const auto kind = parseKindTag(reader.raw());
+    if (!kind)
+        return false;
+    result->kind = *kind;
+    if (job_key) {
+        const std::string key = reader.str();
+        if (!reader.ok() || key.empty())
+            return false;
+        *job_key = std::string(keyPrefix(*kind)) + key;
+    }
+    if (*kind == JobKind::Analysis)
+        return readAnalyticalResult(reader, &result->analysis);
+    return readSimulationResult(reader, &result->simulation);
 }
 
 std::optional<std::vector<std::string>>

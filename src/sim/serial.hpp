@@ -2,7 +2,7 @@
  * @file
  * Shared record-serialization helpers for the persistent formats.
  *
- * The persistent result cache (sim/disk_cache) and the job/result
+ * The persistent result store (sim/disk_cache) and the job/result
  * blocks workers exchange (sim/job_io) speak the same dialect:
  * tab-separated records, one per line, strings percent-escaped so a
  * field can never contain a tab or newline, doubles round-tripped
@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "sim/analytical.hpp"
+#include "sim/job.hpp"
 #include "sim/result.hpp"
 
 namespace vegeta::sim::serial {
@@ -134,6 +135,30 @@ void appendAnalyticalResult(FieldWriter &writer,
 /** Read the fields appendAnalyticalResult wrote. */
 bool readAnalyticalResult(FieldReader &reader,
                           AnalyticalResult *result);
+
+/** The kind tag ("S" or "A") that opens job and result records. */
+const char *kindTag(JobKind kind);
+
+/** The kind @p tag names, or nullopt for an unknown tag. */
+std::optional<JobKind> parseKindTag(const std::string &tag);
+
+/**
+ * Append a JobResult: its kind tag, then -- when @p job_key is
+ * non-null -- that jobKey less its kind prefix (the cacheKey or
+ * analyticalKey), then the result's fields.  With a key this is the
+ * result store's record; without one, the body of a worker-output
+ * record.  @p job_key must carry the prefix of the result's kind.
+ */
+void appendJobResult(FieldWriter &writer, const JobResult &result,
+                     const std::string *job_key = nullptr);
+
+/**
+ * Read what appendJobResult wrote.  With @p job_key the key field is
+ * read too and its kind prefix restored, so *job_key is the full
+ * jobKey; an empty key is a corrupt record.
+ */
+bool readJobResult(FieldReader &reader, JobResult *result,
+                   std::string *job_key = nullptr);
 
 /**
  * Verify and strip a record line's trailing checksum field; returns

@@ -731,9 +731,10 @@ SimServer::Impl::executeBatch(const std::vector<Job> &jobs)
 std::string
 SimServer::Impl::statsJson()
 {
-    // The server's session probes the store in both modes, so its
-    // process-local counters are the service's cache traffic.
-    const telemetry::MetricsSnapshot local = telemetry::snapshot();
+    // The server's session probes its own store in both modes, so
+    // the store's counters are the service's cache traffic -- and
+    // only its: other Sessions in this process keep their own.
+    const DiskCacheStats cache = session.cache()->stats();
 
     std::ostringstream os;
     os.setf(std::ios::fixed);
@@ -742,10 +743,6 @@ SimServer::Impl::statsJson()
     const u64 now = telemetry::nowNs();
     const double uptime_s =
         double(now > startNs ? now - startNs : 0) / 1e9;
-
-    const u64 cache_hits = local.counter("session.cache.hit");
-    const u64 cache_misses = local.counter("session.cache.miss");
-    const u64 cache_total = cache_hits + cache_misses;
 
     u64 recent_jobs = 0;
     for (const auto &[ns, count] : recentBatches) {
@@ -786,11 +783,9 @@ SimServer::Impl::statsJson()
        << ringPercentileMs(waitRing, 0.99) << ", \"samples\": "
        << waitRing.size() << "}},\n";
     os.precision(4);
-    os << "  \"cache\": {\"hits\": " << cache_hits
-       << ", \"misses\": " << cache_misses << ", \"hit_rate\": "
-       << (cache_total > 0 ? double(cache_hits) / double(cache_total)
-                           : 0.0)
-       << "},\n";
+    os << "  \"cache\": {\"hits\": " << cache.hits
+       << ", \"misses\": " << cache.misses
+       << ", \"hit_rate\": " << cache.hitRate() << "},\n";
     os << "  \"workers\": {\"count\": " << workerJobs.size()
        << ", \"per_worker\": [";
     for (std::size_t w = 0; w < workerJobs.size(); ++w)

@@ -84,57 +84,15 @@ resolveThreads(u32 threads)
     return hw == 0 ? 1 : static_cast<u32>(hw);
 }
 
-// Store-probe outcome counters, shared by every probe site.
+/** One store probe's outcome: session.cache.hit or .miss. */
 void
-countHit()
+countProbe(bool hit)
 {
-    static const telemetry::MetricId id =
+    static const telemetry::MetricId hit_id =
         telemetry::counterId("session.cache.hit");
-    telemetry::add(id, 1);
-}
-
-void
-countMiss()
-{
-    static const telemetry::MetricId id =
+    static const telemetry::MetricId miss_id =
         telemetry::counterId("session.cache.miss");
-    telemetry::add(id, 1);
-}
-
-/** The store's key for a job: its jobKey less the kind prefix
- *  (cacheKey or analyticalKey). */
-std::string
-storeKey(JobKind kind, const std::string &job_key)
-{
-    return job_key.substr(kind == JobKind::Analysis
-                              ? kAnalysisKeyPrefix.size()
-                              : kSimulationKeyPrefix.size());
-}
-
-/** One store lookup for a job, into @p out on a hit (counted as a
- *  hit or a miss). */
-bool
-probeStore(const DiskResultCache &store, JobKind kind,
-           const std::string &job_key, JobResult &out)
-{
-    const std::string key = storeKey(kind, job_key);
-    bool hit = false;
-    if (kind == JobKind::Analysis) {
-        if (auto found = store.findAnalysis(key)) {
-            out.analysis = std::move(*found);
-            hit = true;
-        }
-    } else if (auto found = store.find(key)) {
-        out.simulation = std::move(*found);
-        hit = true;
-    }
-    if (!hit) {
-        countMiss();
-        return false;
-    }
-    out.kind = kind;
-    countHit();
-    return true;
+    telemetry::add(hit ? hit_id : miss_id, 1);
 }
 
 } // namespace
@@ -446,9 +404,14 @@ Session::planBatch(const std::vector<Job> &jobs, u32 threads,
     for (const std::size_t i : plan.unique) {
         if (results) {
             telemetry::Span span("session.job");
-            if (cache_ && probeStore(*cache_, jobs[i].kind,
-                                     plan.keys[i], (*results)[i]))
-                continue;
+            if (cache_) {
+                auto hit = cache_->find(plan.keys[i]);
+                countProbe(hit.has_value());
+                if (hit) {
+                    (*results)[i] = std::move(*hit);
+                    continue;
+                }
+            }
         }
         plan.misses.push_back(i);
         if (jobs[i].kind == JobKind::Analysis) {
@@ -519,7 +482,8 @@ Session::planBatch(const std::vector<Job> &jobs, u32 threads,
 }
 
 std::vector<JobResult>
-Session::runBatch(const std::vector<Job> &jobs, u32 threads) const
+Session::runBatch(const std::vector<Job> &jobs, u32 threads,
+                  std::vector<std::string> *keys) const
 {
     std::vector<JobResult> results(jobs.size());
     if (jobs.empty())
@@ -540,10 +504,12 @@ Session::runBatch(const std::vector<Job> &jobs, u32 threads) const
     threads = resolveThreads(threads);
     // The output is identical to running every job on its own -- for
     // any thread count and plan, store on or off.
-    const BatchPlan plan = planBatch(jobs, threads, &results);
+    BatchPlan plan = planBatch(jobs, threads, &results);
     telemetry::add(unique_id, plan.unique.size());
     runUnits(jobs, plan, threads, results);
     commit(plan, results);
+    if (keys)
+        *keys = std::move(plan.keys);
     return results;
 }
 
@@ -597,14 +563,11 @@ Session::commit(const BatchPlan &plan,
     if (cache_) {
         telemetry::Span span("session.batch.commit",
                              plan.misses.size());
-        for (const std::size_t i : plan.misses) {
-            const std::string key =
-                storeKey(results[i].kind, plan.keys[i]);
-            if (results[i].kind == JobKind::Analysis)
-                cache_->insertAnalysis(key, results[i].analysis);
-            else
-                cache_->insert(key, results[i].simulation);
-        }
+        JobRecords records;
+        records.reserve(plan.misses.size());
+        for (const std::size_t i : plan.misses)
+            records.emplace_back(plan.keys[i], results[i]);
+        cache_->insert(std::move(records));
     }
     for (std::size_t i = 0; i < results.size(); ++i)
         if (plan.source[i] != i)

@@ -56,8 +56,7 @@ struct PlanUnit
 /** How a job batch runs: the output of Session::planBatch. */
 struct BatchPlan
 {
-    /** keys[i]: jobs[i]'s jobKey.  The store sees it less its kind
-     *  prefix (cacheKey or analyticalKey). */
+    /** keys[i]: jobs[i]'s jobKey, also its key in the store. */
     std::vector<std::string> keys;
 
     /** source[i]: the first job whose key equals jobs[i]'s. */
@@ -193,9 +192,11 @@ class Session
      * Deterministic: the batch output is bit-for-bit identical for
      * any thread count and any grouping (each lane is bit-identical
      * to a single-stream replay), in every result-store state.
+     * When @p keys is non-null it receives the plan's jobKeys.
      */
-    std::vector<JobResult> runBatch(const std::vector<Job> &jobs,
-                                    u32 threads = 0) const;
+    std::vector<JobResult>
+    runBatch(const std::vector<Job> &jobs, u32 threads = 0,
+             std::vector<std::string> *keys = nullptr) const;
 
     /**
      * runBatch's plan phase, for @p threads executors (0 picks the
@@ -223,8 +224,8 @@ class Session
                   u32 threads, std::vector<JobResult> &results) const;
 
     /**
-     * runBatch's commit phase, the store's one write: insert every
-     * miss of @p plan under its store key, in batch order, then copy
+     * runBatch's commit phase, the store's one write: one insert of
+     * every miss of @p plan under its jobKey, in batch order, then copy
      * each unique job's result to its duplicates.  The store's
      * record order is therefore a function of the batch alone, never
      * of the executor or its timing.

@@ -1,13 +1,15 @@
 /**
  * @file
- * Persistent result-cache tests: round-trips are bit-identical,
- * a version-mismatched file is invalidated wholesale, corrupt or
- * truncated records degrade to misses (never wrong results), and two
- * sequential Sessions share results through the same cache directory.
+ * Persistent result-store tests: round-trips are bit-identical,
+ * the file format is pinned byte for byte, a version-mismatched file
+ * is invalidated wholesale, corrupt or truncated records degrade to
+ * misses (never wrong results), and two sequential Sessions share
+ * results through the same cache directory.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -50,6 +52,56 @@ sampleResult(const std::string &tag, double util)
     return result;
 }
 
+/** The jobKeys a simulation and an analysis stored under the raw
+ *  key @p key carry. */
+std::string
+simKey(const std::string &key)
+{
+    return std::string(kSimulationKeyPrefix) + key;
+}
+
+std::string
+anaKey(const std::string &key)
+{
+    return std::string(kAnalysisKeyPrefix) + key;
+}
+
+JobResult
+asJob(SimulationResult result)
+{
+    JobResult job;
+    job.simulation = std::move(result);
+    return job;
+}
+
+JobResult
+asJob(AnalyticalResult result)
+{
+    JobResult job;
+    job.kind = JobKind::Analysis;
+    job.analysis = std::move(result);
+    return job;
+}
+
+/** insert() of the one record (@p job_key, @p result). */
+template <typename Result>
+u64
+insertOne(DiskResultCache &cache, const std::string &job_key,
+          Result result)
+{
+    return cache.insert({{job_key, asJob(std::move(result))}});
+}
+
+/** The whole text of @p path ("" when it cannot be read). */
+std::string
+readFile(const fs::path &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    std::stringstream buffer;
+    buffer << is.rdbuf();
+    return buffer.str();
+}
+
 TEST(DiskCache, RoundTripsAcrossInstances)
 {
     const std::string dir = freshDir("roundtrip");
@@ -59,17 +111,17 @@ TEST(DiskCache, RoundTripsAcrossInstances)
     {
         DiskResultCache cache(dir);
         ASSERT_TRUE(cache.ok());
-        EXPECT_FALSE(cache.find("key-a").has_value());
-        cache.insert("key-a", original);
+        EXPECT_FALSE(cache.find(simKey("key-a")).has_value());
+        insertOne(cache, simKey("key-a"), original);
         EXPECT_EQ(cache.size(), 1u);
     }
     DiskResultCache reopened(dir);
     ASSERT_TRUE(reopened.ok());
     EXPECT_EQ(reopened.size(), 1u);
     EXPECT_EQ(reopened.stats().loaded, 1u);
-    const auto hit = reopened.find("key-a");
+    const auto hit = reopened.find(simKey("key-a"));
     ASSERT_TRUE(hit.has_value());
-    expectIdenticalSim(*hit, original);
+    expectIdenticalSim(hit->simulation, original);
     EXPECT_EQ(reopened.stats().hits, 1u);
 }
 
@@ -77,11 +129,30 @@ TEST(DiskCache, FirstInsertWins)
 {
     const std::string dir = freshDir("first_wins");
     DiskResultCache cache(dir);
-    cache.insert("k", sampleResult("first", 0.5));
-    cache.insert("k", sampleResult("second", 0.75));
+    EXPECT_EQ(insertOne(cache, simKey("k"), sampleResult("first", 0.5)),
+              1u);
+    EXPECT_EQ(
+        insertOne(cache, simKey("k"), sampleResult("second", 0.75)),
+        0u);
     EXPECT_EQ(cache.size(), 1u);
     EXPECT_EQ(cache.stats().insertions, 1u);
-    EXPECT_EQ(cache.find("k")->workload, "first");
+    EXPECT_EQ(cache.find(simKey("k"))->simulation.workload, "first");
+
+    // Within one insert too: a repeated key stores its first result
+    // and appends one record.
+    const std::string once = freshDir("first_wins_once");
+    DiskResultCache batch(once);
+    const u64 added =
+        batch.insert({{simKey("k"), asJob(sampleResult("a", 0.5))},
+                      {simKey("k"), asJob(sampleResult("b", 0.5))}});
+    EXPECT_EQ(added, 1u);
+    EXPECT_EQ(batch.stats().insertions, 1u);
+    EXPECT_EQ(batch.find(simKey("k"))->simulation.workload, "a");
+    const std::string text = readFile(batch.filePath());
+    EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 2)
+        << "header plus one record:\n"
+        << text;
+    EXPECT_EQ(DiskResultCache(once).stats().loaded, 1u);
 }
 
 TEST(DiskCache, VersionMismatchInvalidatesWholeFile)
@@ -89,18 +160,12 @@ TEST(DiskCache, VersionMismatchInvalidatesWholeFile)
     const std::string dir = freshDir("version");
     {
         DiskResultCache cache(dir);
-        cache.insert("k", sampleResult("w", 0.5));
+        insertOne(cache, simKey("k"), sampleResult("w", 0.5));
     }
     // Rewrite the header to a future version: every record after it
     // must be ignored (a format change never risks misreads).
     const fs::path file = fs::path(dir) / "results.vgc";
-    std::string text;
-    {
-        std::ifstream is(file);
-        std::stringstream buffer;
-        buffer << is.rdbuf();
-        text = buffer.str();
-    }
+    std::string text = readFile(file);
     text.replace(text.find("v2"), 2, "v9");
     {
         std::ofstream os(file, std::ios::trunc);
@@ -111,14 +176,14 @@ TEST(DiskCache, VersionMismatchInvalidatesWholeFile)
     ASSERT_TRUE(reopened.ok());
     EXPECT_EQ(reopened.size(), 0u);
     EXPECT_TRUE(reopened.stats().versionMismatch);
-    EXPECT_FALSE(reopened.find("k").has_value());
+    EXPECT_FALSE(reopened.find(simKey("k")).has_value());
 
     // The next insert rewrites the file under the current header...
-    reopened.insert("k2", sampleResult("w2", 0.25));
+    insertOne(reopened, simKey("k2"), sampleResult("w2", 0.25));
     DiskResultCache third(dir);
     EXPECT_FALSE(third.stats().versionMismatch);
     EXPECT_EQ(third.size(), 1u);
-    ASSERT_TRUE(third.find("k2").has_value());
+    ASSERT_TRUE(third.find(simKey("k2")).has_value());
 }
 
 TEST(DiskCache, TruncatedAndCorruptRecordsDegradeToMisses)
@@ -127,17 +192,12 @@ TEST(DiskCache, TruncatedAndCorruptRecordsDegradeToMisses)
     const SimulationResult good = sampleResult("good", 0.5);
     {
         DiskResultCache cache(dir);
-        cache.insert("good-key", good);
-        cache.insert("rotten-key", sampleResult("rotten", 0.25));
+        insertOne(cache, simKey("good-key"), good);
+        insertOne(cache, simKey("rotten-key"),
+                  sampleResult("rotten", 0.25));
     }
     const fs::path file = fs::path(dir) / "results.vgc";
-    std::string text;
-    {
-        std::ifstream is(file);
-        std::stringstream buffer;
-        buffer << is.rdbuf();
-        text = buffer.str();
-    }
+    std::string text = readFile(file);
     // Silent bit rot inside a value field: tamper the coreCycles
     // digits of the second record without touching its shape.  The
     // per-record checksum must reject it (a miss, not a wrong hit).
@@ -158,11 +218,11 @@ TEST(DiskCache, TruncatedAndCorruptRecordsDegradeToMisses)
     EXPECT_EQ(reopened.size(), 1u);
     EXPECT_EQ(reopened.stats().loaded, 1u);
     EXPECT_EQ(reopened.stats().rejected, 4u);
-    const auto hit = reopened.find("good-key");
+    const auto hit = reopened.find(simKey("good-key"));
     ASSERT_TRUE(hit.has_value());
-    expectIdenticalSim(*hit, good);
-    EXPECT_FALSE(reopened.find("rotten-key").has_value());
-    EXPECT_FALSE(reopened.find("trunc-key").has_value());
+    expectIdenticalSim(hit->simulation, good);
+    EXPECT_FALSE(reopened.find(simKey("rotten-key")).has_value());
+    EXPECT_FALSE(reopened.find(simKey("trunc-key")).has_value());
 }
 
 TEST(DiskCache, LegacyV1FileIsInvalidatedWholesale)
@@ -184,9 +244,9 @@ TEST(DiskCache, LegacyV1FileIsInvalidatedWholesale)
     ASSERT_TRUE(cache.ok());
     EXPECT_EQ(cache.size(), 0u);
     EXPECT_TRUE(cache.stats().versionMismatch);
-    EXPECT_FALSE(cache.find("some-key").has_value());
+    EXPECT_FALSE(cache.find(simKey("some-key")).has_value());
     // The next insert rewrites the file under the v2 header.
-    cache.insert("k", sampleResult("w", 0.5));
+    insertOne(cache, simKey("k"), sampleResult("w", 0.5));
     DiskResultCache reopened(dir);
     EXPECT_FALSE(reopened.stats().versionMismatch);
     EXPECT_EQ(reopened.size(), 1u);
@@ -217,12 +277,12 @@ TEST(DiskCache, AnalyticalResultsRoundTripAcrossInstances)
     {
         DiskResultCache cache(dir);
         ASSERT_TRUE(cache.ok());
-        EXPECT_FALSE(cache.findAnalysis("ana-key").has_value());
-        cache.insertAnalysis("ana-key", original);
+        EXPECT_FALSE(cache.find(anaKey("ana-key")).has_value());
+        insertOne(cache, anaKey("ana-key"), original);
         // Simulation and analysis entries coexist in one file and
         // never collide, even under the same key text.
-        cache.insert("ana-key", sampleResult("sim-under-same-key",
-                                             0.5));
+        insertOne(cache, simKey("ana-key"),
+                  sampleResult("sim-under-same-key", 0.5));
         EXPECT_EQ(cache.size(), 2u);
     }
     DiskResultCache reopened(dir);
@@ -231,10 +291,10 @@ TEST(DiskCache, AnalyticalResultsRoundTripAcrossInstances)
     EXPECT_EQ(reopened.stats().loaded, 2u);
     EXPECT_EQ(reopened.stats().simulationEntries, 1u);
     EXPECT_EQ(reopened.stats().analysisEntries, 1u);
-    const auto hit = reopened.findAnalysis("ana-key");
+    const auto hit = reopened.find(anaKey("ana-key"));
     ASSERT_TRUE(hit.has_value());
-    expectIdenticalAnalysis(*hit, original);
-    EXPECT_EQ(reopened.find("ana-key")->workload,
+    expectIdenticalAnalysis(hit->analysis, original);
+    EXPECT_EQ(reopened.find(simKey("ana-key"))->simulation.workload,
               "sim-under-same-key");
 }
 
@@ -244,14 +304,17 @@ TEST(DiskCache, MergeFromUnionsFirstInsertWins)
     const std::string src_dir = freshDir("merge_src");
     {
         DiskResultCache dst(dst_dir);
-        dst.insert("shared", sampleResult("dst-version", 0.25));
-        dst.insert("dst-only", sampleResult("dst", 0.5));
+        insertOne(dst, simKey("shared"),
+                  sampleResult("dst-version", 0.25));
+        insertOne(dst, simKey("dst-only"), sampleResult("dst", 0.5));
     }
     {
         DiskResultCache src(src_dir);
-        src.insert("shared", sampleResult("src-version", 0.75));
-        src.insert("src-only", sampleResult("src", 0.1));
-        src.insertAnalysis("src-analysis", sampleAnalysis("fig15"));
+        insertOne(src, simKey("shared"),
+                  sampleResult("src-version", 0.75));
+        insertOne(src, simKey("src-only"), sampleResult("src", 0.1));
+        insertOne(src, anaKey("src-analysis"),
+                  sampleAnalysis("fig15"));
     }
 
     DiskResultCache dst(dst_dir);
@@ -262,22 +325,25 @@ TEST(DiskCache, MergeFromUnionsFirstInsertWins)
     EXPECT_EQ(dst.size(), 4u);
     // First insert wins across caches too: the destination's value
     // survives the merge.
-    EXPECT_EQ(dst.find("shared")->workload, "dst-version");
-    EXPECT_EQ(dst.find("src-only")->workload, "src");
-    ASSERT_TRUE(dst.findAnalysis("src-analysis").has_value());
+    EXPECT_EQ(dst.find(simKey("shared"))->simulation.workload,
+              "dst-version");
+    EXPECT_EQ(dst.find(simKey("src-only"))->simulation.workload, "src");
+    ASSERT_TRUE(dst.find(anaKey("src-analysis")).has_value());
 
     // The union persisted: a reopened destination sees everything,
     // bit-identical, and the source is untouched.
     DiskResultCache reopened(dst_dir);
     ASSERT_TRUE(reopened.ok());
     EXPECT_EQ(reopened.stats().loaded, 4u);
-    expectIdenticalSim(*reopened.find("src-only"),
-                       *src.find("src-only"));
-    expectIdenticalAnalysis(*reopened.findAnalysis("src-analysis"),
-                            *src.findAnalysis("src-analysis"));
+    expectIdenticalSim(reopened.find(simKey("src-only"))->simulation,
+                       src.find(simKey("src-only"))->simulation);
+    expectIdenticalAnalysis(
+        reopened.find(anaKey("src-analysis"))->analysis,
+        src.find(anaKey("src-analysis"))->analysis);
     DiskResultCache src_reopened(src_dir);
     EXPECT_EQ(src_reopened.size(), 3u);
-    EXPECT_EQ(src_reopened.find("shared")->workload, "src-version");
+    EXPECT_EQ(src_reopened.find(simKey("shared"))->simulation.workload,
+              "src-version");
 }
 
 TEST(DiskCache, MergeFromEmptySourceAddsNothing)
@@ -285,7 +351,7 @@ TEST(DiskCache, MergeFromEmptySourceAddsNothing)
     const std::string dst_dir = freshDir("merge_empty_dst");
     const std::string src_dir = freshDir("merge_empty_src");
     DiskResultCache dst(dst_dir);
-    dst.insert("k", sampleResult("w", 0.5));
+    insertOne(dst, simKey("k"), sampleResult("w", 0.5));
     DiskResultCache src(src_dir);
     const auto merge = dst.mergeFrom(src);
     EXPECT_EQ(merge.added, 0u);
@@ -302,11 +368,13 @@ TEST(DiskCache, MergeChainsAcrossSeveralSources)
     const std::string dst_dir = freshDir("merge_chain_dst");
     {
         DiskResultCache a(a_dir);
-        a.insert("ka", sampleResult("a", 0.1));
-        a.insert("shared", sampleResult("a-shared", 0.2));
+        insertOne(a, simKey("ka"), sampleResult("a", 0.1));
+        insertOne(a, simKey("shared"),
+                  sampleResult("a-shared", 0.2));
         DiskResultCache b(b_dir);
-        b.insert("kb", sampleResult("b", 0.3));
-        b.insert("shared", sampleResult("b-shared", 0.4));
+        insertOne(b, simKey("kb"), sampleResult("b", 0.3));
+        insertOne(b, simKey("shared"),
+                  sampleResult("b-shared", 0.4));
     }
     DiskResultCache dst(dst_dir);
     DiskResultCache a(a_dir);
@@ -316,7 +384,8 @@ TEST(DiskCache, MergeChainsAcrossSeveralSources)
     const auto second = dst.mergeFrom(b);
     EXPECT_EQ(second.added, 1u);
     EXPECT_EQ(second.skipped, 1u); // "shared" came from a first
-    EXPECT_EQ(dst.find("shared")->workload, "a-shared");
+    EXPECT_EQ(dst.find(simKey("shared"))->simulation.workload,
+              "a-shared");
     DiskResultCache reopened(dst_dir);
     EXPECT_EQ(reopened.size(), 3u);
 }
@@ -350,9 +419,9 @@ TEST(DiskCache, PruneKeepsTheMostRecentlyAppendedEntries)
     const std::string dir = freshDir("prune_entries");
     DiskResultCache cache(dir);
     for (int i = 0; i < 6; ++i)
-        cache.insert("k" + std::to_string(i),
+        insertOne(cache, simKey("k" + std::to_string(i)),
                      sampleResult("w" + std::to_string(i), 0.5));
-    cache.insertAnalysis("a0", sampleAnalysis("m0"));
+    insertOne(cache, anaKey("a0"), sampleAnalysis("m0"));
 
     const auto pruned = cache.prune(std::nullopt, 3);
     EXPECT_EQ(pruned.kept, 3u);
@@ -360,17 +429,17 @@ TEST(DiskCache, PruneKeepsTheMostRecentlyAppendedEntries)
     EXPECT_GT(pruned.fileBytes, 0u);
 
     // Most-recently-appended survive: k4, k5, and the analysis.
-    EXPECT_FALSE(cache.find("k0").has_value());
-    EXPECT_FALSE(cache.find("k3").has_value());
-    EXPECT_TRUE(cache.find("k4").has_value());
-    EXPECT_TRUE(cache.find("k5").has_value());
-    EXPECT_TRUE(cache.findAnalysis("a0").has_value());
+    EXPECT_FALSE(cache.find(simKey("k0")).has_value());
+    EXPECT_FALSE(cache.find(simKey("k3")).has_value());
+    EXPECT_TRUE(cache.find(simKey("k4")).has_value());
+    EXPECT_TRUE(cache.find(simKey("k5")).has_value());
+    EXPECT_TRUE(cache.find(anaKey("a0")).has_value());
 
     // The compaction persisted: a reopen sees only the kept set.
     DiskResultCache reopened(dir);
     EXPECT_EQ(reopened.size(), 3u);
-    EXPECT_FALSE(reopened.find("k0").has_value());
-    EXPECT_TRUE(reopened.findAnalysis("a0").has_value());
+    EXPECT_FALSE(reopened.find(simKey("k0")).has_value());
+    EXPECT_TRUE(reopened.find(anaKey("a0")).has_value());
 }
 
 TEST(DiskCache, PruneByBytesBoundsTheFile)
@@ -378,7 +447,7 @@ TEST(DiskCache, PruneByBytesBoundsTheFile)
     const std::string dir = freshDir("prune_bytes");
     DiskResultCache cache(dir);
     for (int i = 0; i < 8; ++i)
-        cache.insert("k" + std::to_string(i),
+        insertOne(cache, simKey("k" + std::to_string(i)),
                      sampleResult("w" + std::to_string(i), 0.25));
     const u64 before = cache.stats().fileBytes;
     ASSERT_GT(before, 0u);
@@ -390,8 +459,8 @@ TEST(DiskCache, PruneByBytesBoundsTheFile)
     EXPECT_GT(pruned.kept, 0u);
     EXPECT_EQ(pruned.kept + pruned.dropped, 8u);
     // Newest survive, oldest go.
-    EXPECT_TRUE(cache.find("k7").has_value());
-    EXPECT_FALSE(cache.find("k0").has_value());
+    EXPECT_TRUE(cache.find(simKey("k7")).has_value());
+    EXPECT_FALSE(cache.find(simKey("k0")).has_value());
 
     // A no-op prune (already under budget) drops nothing.
     const auto again = cache.prune(before, 8u);
@@ -404,10 +473,10 @@ TEST(DiskCache, HitRateTracksTraffic)
     const std::string dir = freshDir("hit_rate");
     DiskResultCache cache(dir);
     EXPECT_EQ(cache.stats().hitRate(), 0.0); // no traffic yet
-    cache.insert("k", sampleResult("w", 0.5));
-    EXPECT_TRUE(cache.find("k").has_value());  // hit
-    EXPECT_FALSE(cache.find("x").has_value()); // miss
-    EXPECT_FALSE(cache.find("y").has_value()); // miss
+    insertOne(cache, simKey("k"), sampleResult("w", 0.5));
+    EXPECT_TRUE(cache.find(simKey("k")).has_value());  // hit
+    EXPECT_FALSE(cache.find(simKey("x")).has_value()); // miss
+    EXPECT_FALSE(cache.find(simKey("y")).has_value()); // miss
     const DiskCacheStats stats = cache.stats();
     EXPECT_EQ(stats.hits, 1u);
     EXPECT_EQ(stats.misses, 2u);
@@ -421,7 +490,7 @@ TEST(DiskCache, LastPruneBytesPersistsAcrossProcesses)
     {
         DiskResultCache cache(dir);
         for (int i = 0; i < 8; ++i)
-            cache.insert("k" + std::to_string(i),
+            insertOne(cache, simKey("k" + std::to_string(i)),
                          sampleResult("w" + std::to_string(i), 0.25));
         EXPECT_EQ(cache.stats().lastPruneBytes, 0u);
         const auto pruned = cache.prune(std::nullopt, 2u);
@@ -441,8 +510,8 @@ TEST(DiskCache, PruneCompactsDuplicateAndGarbageLines)
     std::string duplicate;
     {
         DiskResultCache cache(dir);
-        cache.insert("k0", sampleResult("w0", 0.5));
-        cache.insert("k1", sampleResult("w1", 0.5));
+        insertOne(cache, simKey("k0"), sampleResult("w0", 0.5));
+        insertOne(cache, simKey("k1"), sampleResult("w1", 0.5));
     }
     const fs::path file = fs::path(dir) / "results.vgc";
     {
@@ -471,8 +540,8 @@ TEST(DiskCache, PruneCompactsDuplicateAndGarbageLines)
     EXPECT_EQ(pruned.dropped, 0u);
     EXPECT_EQ(pruned.kept, 2u);
     EXPECT_LT(pruned.fileBytes, bloated);
-    EXPECT_TRUE(cache.find("k0").has_value());
-    EXPECT_TRUE(cache.find("k1").has_value());
+    EXPECT_TRUE(cache.find(simKey("k0")).has_value());
+    EXPECT_TRUE(cache.find(simKey("k1")).has_value());
     DiskResultCache reopened(dir);
     EXPECT_EQ(reopened.size(), 2u);
     EXPECT_EQ(reopened.stats().rejected, 0u);
@@ -492,7 +561,7 @@ TEST(DiskCache, GarbageFileIsAnEmptyCache)
     EXPECT_EQ(cache.size(), 0u);
     EXPECT_TRUE(cache.stats().versionMismatch);
     // Still usable: inserts repair the file.
-    cache.insert("k", sampleResult("w", 1.0));
+    insertOne(cache, simKey("k"), sampleResult("w", 1.0));
     DiskResultCache reopened(dir);
     EXPECT_EQ(reopened.size(), 1u);
 }
@@ -502,7 +571,7 @@ TEST(DiskCache, ClearTruncatesTheFile)
     const std::string dir = freshDir("clear");
     {
         DiskResultCache cache(dir);
-        cache.insert("k", sampleResult("w", 0.5));
+        insertOne(cache, simKey("k"), sampleResult("w", 0.5));
         cache.clear();
         EXPECT_EQ(cache.size(), 0u);
     }
@@ -559,6 +628,87 @@ TEST(DiskCache, TwoSequentialSessionsShareResults)
     expectIdenticalSim(warm, cold);
     EXPECT_EQ(second.simulationsPerformed(), 0u);
     EXPECT_EQ(second.cache()->stats().hits, 1u);
+}
+
+
+/**
+ * A results.vgc as the v2 format writes it: the header, one
+ * simulation record and one analysis record (fixtureJobs), both with
+ * escaped fields ('%09' a tab, '%25' a percent sign).  The bytes are
+ * pinned: a record-layout change fails here instead of orphaning
+ * every store written before it.
+ */
+const char *const kFixtureFile =
+    "vegeta-result-cache v2\n"
+    "S\tv1|fixture%0950%25 tile|32x32x128|VEGETA-S-2-2|2|0|optimize"
+    "d|3|4,4,97,96,16,4,2,2,4,4,0|64,64,12,4,14\tfixture%0950%25 ti"
+    "le\tVEGETA-S-2-2\t2\t2\t0\toptimized\t1042\t179\t8\t8\t3fdf727"
+    "cce5f530a\t192\t268\t65c0f5f92e4d9a1d\n"
+    "A\tv1|fig15-unstructured|||degree=0.94999999999999996;|\tfig15"
+    "-unstructured\t7\tdegree_%25\tdense\tlayer-wise\ttile-wise\tps"
+    "eudo-row-wise\trow-wise\tSIGMA-like\t1\t7\t\t4057c00000000000"
+    "\t0\t\t3ff0000000000000\t2\t\t3ff0000000000000\t2\t\t3ffcbdcc2"
+    "8fbab48\t2\t\t4004d32362ba53b0\t2\t\t4009f96df3abbabb\t2\t\t40"
+    "0aaaaaaaaaaaa4\t2\t1\tpaper anchors: row-wise 2.36x @ 90%25 an"
+    "d 3.28x @ 95%25; layer-wise barely beats dense; SIGMA-like ove"
+    "rtakes row-wise only beyond ~95%25\tdeef6a95e1ba282f\n";
+
+/** The two jobs whose results kFixtureFile holds. */
+std::pair<Job, Job>
+fixtureJobs(const Session &session)
+{
+    auto sim = session.job()
+                   .gemm(kernels::GemmDims{32, 32, 128})
+                   .engine("VEGETA-S-2-2")
+                   .pattern(2)
+                   .build();
+    auto ana = session.job()
+                   .model("fig15-unstructured")
+                   .param("degree", 0.95)
+                   .build();
+    EXPECT_TRUE(sim && ana);
+    sim->simulation.label = "fixture\t50% tile";
+    return {*sim, *ana};
+}
+
+TEST(DiskCache, PinnedFileFormatLoadsAndRewritesByteForByte)
+{
+    const std::string dir = freshDir("fixture");
+    fs::create_directories(dir);
+    {
+        std::ofstream os(fs::path(dir) / "results.vgc",
+                         std::ios::binary);
+        os << kFixtureFile;
+    }
+    DiskResultCache cache(dir);
+    ASSERT_TRUE(cache.ok());
+    EXPECT_EQ(cache.stats().loaded, 2u);
+    EXPECT_EQ(cache.stats().rejected, 0u);
+    EXPECT_FALSE(cache.stats().versionMismatch);
+
+    // Both results sit under their jobKeys, bit-identical to freshly
+    // computed ones.
+    const Session session;
+    const auto [sim, ana] = fixtureJobs(session);
+    const JobResult sim_fresh = session.run(sim);
+    const JobResult ana_fresh = session.run(ana);
+    const auto sim_hit = cache.find(jobKey(sim));
+    const auto ana_hit = cache.find(jobKey(ana));
+    ASSERT_TRUE(sim_hit.has_value());
+    ASSERT_TRUE(ana_hit.has_value());
+    EXPECT_EQ(sim_hit->kind, JobKind::Simulation);
+    EXPECT_EQ(ana_hit->kind, JobKind::Analysis);
+    expectIdenticalSim(sim_hit->simulation, sim_fresh.simulation);
+    expectIdenticalAnalysis(ana_hit->analysis, ana_fresh.analysis);
+
+    // The fresh results, inserted into an empty store, write the
+    // pinned bytes.
+    const std::string fresh_dir = freshDir("fixture_fresh");
+    DiskResultCache fresh(fresh_dir);
+    EXPECT_EQ(fresh.insert({{jobKey(sim), sim_fresh},
+                            {jobKey(ana), ana_fresh}}),
+              2u);
+    EXPECT_EQ(readFile(fresh.filePath()), kFixtureFile);
 }
 
 } // namespace

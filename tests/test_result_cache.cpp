@@ -4,8 +4,8 @@
  * first insert, never touches the file system, and -- like batch
  * deduplication -- never changes an answer: results stay
  * bit-identical to the uncached, single-threaded path while each
- * unique job simulates exactly once.  A Session holds one store and
- * probes it once per unique job.
+ * unique job simulates exactly once.  A Session holds one store,
+ * keyed by jobKey, and probes it once per unique job.
  */
 
 #include <gtest/gtest.h>
@@ -30,13 +30,13 @@ freshDir(const std::string &name)
     return dir.string();
 }
 
-SimulationResult
+JobResult
 sampleResult(const std::string &tag, double util)
 {
-    SimulationResult result;
-    result.workload = tag;
-    result.coreCycles = 42;
-    result.macUtilization = util;
+    JobResult result;
+    result.simulation.workload = tag;
+    result.simulation.coreCycles = 42;
+    result.simulation.macUtilization = util;
     return result;
 }
 
@@ -111,17 +111,19 @@ TEST(MemoryStore, FindInsertAndStats)
     EXPECT_FALSE(cache.persistent());
     EXPECT_TRUE(cache.ok());
     EXPECT_EQ(cache.size(), 0u);
-    EXPECT_FALSE(cache.find("a").has_value());
+    EXPECT_FALSE(cache.find("sim|a").has_value());
 
-    cache.insert("a", sampleResult("w", 0.25));
+    EXPECT_EQ(cache.insert({{"sim|a", sampleResult("w", 0.25)}}), 1u);
     EXPECT_EQ(cache.size(), 1u);
-    const auto hit = cache.find("a");
+    const auto hit = cache.find("sim|a");
     ASSERT_TRUE(hit.has_value());
-    expectIdenticalSim(*hit, sampleResult("w", 0.25));
+    expectIdenticalSim(hit->simulation,
+                       sampleResult("w", 0.25).simulation);
 
     // First insert wins; re-inserting does not count.
-    cache.insert("a", sampleResult("other", 0.5));
-    EXPECT_EQ(cache.find("a")->workload, "w");
+    EXPECT_EQ(cache.insert({{"sim|a", sampleResult("other", 0.5)}}),
+              0u);
+    EXPECT_EQ(cache.find("sim|a")->simulation.workload, "w");
 
     const DiskCacheStats stats = cache.stats();
     EXPECT_EQ(stats.hits, 2u);
@@ -352,9 +354,9 @@ TEST(SessionStore, ProbesTheStoreOncePerJob)
 
 TEST(SessionStore, BatchedAnalysisUsesItsAnalyticalKey)
 {
-    // runBatch stores an analysis under the key its plan phase built
-    // (the job key less its prefix): exactly analyticalKey, so a
-    // direct analyze() of the same request is a hit, and the reverse.
+    // runBatch stores an analysis under the key its plan phase built:
+    // its jobKey, "ana|" + analyticalKey, so a direct analyze() of
+    // the same request is a hit, and the reverse.
     Session session;
     const auto store = session.enableCache();
     AnalyticalRequest first;
@@ -366,7 +368,11 @@ TEST(SessionStore, BatchedAnalysisUsesItsAnalyticalKey)
     const auto batch = session.runBatch(
         {Job::analyze(first), Job::analyze(first)}, 2);
     EXPECT_EQ(session.analysesPerformed(), 1u);
-    EXPECT_TRUE(store->findAnalysis(analyticalKey(first)).has_value());
+    const auto stored = store->find(jobKey(Job::analyze(first)));
+    ASSERT_TRUE(stored.has_value());
+    EXPECT_EQ(stored->kind, JobKind::Analysis);
+    EXPECT_EQ(jobKey(Job::analyze(first)),
+              std::string(kAnalysisKeyPrefix) + analyticalKey(first));
     expectIdenticalAnalysis(session.analyze(first), batch[0].analysis);
     EXPECT_EQ(session.analysesPerformed(), 1u);
     expectIdenticalAnalysis(batch[1].analysis, batch[0].analysis);

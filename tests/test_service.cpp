@@ -86,8 +86,7 @@ struct ServerFixture
         options.socketPath = dir + "/sim.sock";
         options.serviceWorkers = workers;
         options.threads = 2;
-        // Persist the server's store, so worker mode (whose workers
-        // each keep their own store) shares one set of results.
+        // Persist the server's store (its workers run store-less).
         options.cacheDir = dir + "/cache";
         server = std::make_unique<SimServer>(options);
         std::string error;
@@ -385,6 +384,45 @@ TEST(Service, StatsFrameReportsLiveState)
 
     // The connection stays usable after a stats exchange.
     ASSERT_TRUE(client.runBatch(jobs, &error).has_value()) << error;
+    fixture.server->stop();
+}
+
+/** The `"cache": {...}` object of a stats document ("" if none). */
+std::string
+cacheSection(const std::string &stats)
+{
+    const auto at = stats.find("\"cache\": {");
+    if (at == std::string::npos)
+        return "";
+    return stats.substr(at, stats.find('}', at) + 1 - at);
+}
+
+TEST(Service, StatsCacheCountsOnlyTheServersStore)
+{
+    // An in-process server shares its process with other Sessions
+    // (a C++ host, a bench ladder, this test): its stats count its
+    // own store's probes, never theirs.
+    ServerFixture fixture("statsownstore");
+    const auto jobs = mixedBatch();
+    auto client = fixture.client();
+    std::string error;
+    ASSERT_TRUE(client.connect(&error)) << error;
+    ASSERT_TRUE(client.runBatch(jobs, &error).has_value()) << error;
+    const auto before = client.fetchStats(&error);
+    ASSERT_TRUE(before.has_value()) << error;
+    // Three unique jobs, all cold.
+    EXPECT_NE(before->find("\"hits\": 0, \"misses\": 3,"),
+              std::string::npos)
+        << *before;
+
+    Session other;
+    other.enableCache();
+    other.runBatch(jobs, 1); // three misses
+    other.runBatch(jobs, 1); // three hits
+
+    const auto after = client.fetchStats(&error);
+    ASSERT_TRUE(after.has_value()) << error;
+    EXPECT_EQ(cacheSection(*after), cacheSection(*before)) << *after;
     fixture.server->stop();
 }
 
